@@ -78,7 +78,10 @@ void BM_Eigenvalues(benchmark::State& state) {
 }
 BENCHMARK(BM_Eigenvalues)->Arg(3)->Arg(6)->Arg(12);
 
-void BM_SwitchedSimulation(benchmark::State& state) {
+/// One 40 ms closed-loop step response of the case study's first app on
+/// schedule (3,2,3); \p traced selects simulate() (dense traces recorded)
+/// or summarize() (metrics only, the design objective's path).
+void switched_run(benchmark::State& state, bool traced) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),
                                            sched::PeriodicSchedule({3, 2, 3}));
   const auto& a = sys().apps[0];
@@ -93,10 +96,18 @@ void BM_SwitchedSimulation(benchmark::State& state) {
   so.r = a.r;
   so.horizon = 40e-3;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so));
+    benchmark::DoNotOptimize(traced ? sim.simulate(g, eq.x, eq.u, so)
+                                    : sim.summarize(g, eq.x, eq.u, so));
   }
 }
+void BM_SwitchedSimulation(benchmark::State& state) {
+  switched_run(state, true);
+}
 BENCHMARK(BM_SwitchedSimulation);
+void BM_SwitchedSummary(benchmark::State& state) {
+  switched_run(state, false);
+}
+BENCHMARK(BM_SwitchedSummary);
 
 void BM_Svd(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -246,8 +257,9 @@ void BM_DlqrSolve(benchmark::State& state) {
 BENCHMARK(BM_DlqrSolve);
 
 // One PSO particle's full evaluation: closed-loop monodromy + spectral
-// radius (stability barrier), exact feedforward, then the dense switched
-// simulation — the body design_cost runs thousands of times per design.
+// radius (stability barrier), exact feedforward, then the trace-free dense
+// switched simulation — the body design_cost runs thousands of times per
+// design.
 void BM_PsoParticleEval(benchmark::State& state) {
   const auto timing = sched::derive_timing(sys().analyze_wcets(),
                                            sched::PeriodicSchedule({3, 2, 3}));
@@ -265,7 +277,7 @@ void BM_PsoParticleEval(benchmark::State& state) {
     benchmark::DoNotOptimize(rho);
     auto f = control::exact_feedforward(sim.phases(), a.plant.c, k);
     control::PhaseGains g{k, f ? *f : std::vector<double>(k.size(), 0.0)};
-    benchmark::DoNotOptimize(sim.simulate(g, eq.x, eq.u, so));
+    benchmark::DoNotOptimize(sim.summarize(g, eq.x, eq.u, so));
   }
 }
 BENCHMARK(BM_PsoParticleEval);

@@ -63,8 +63,8 @@ double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
     return 1.0e3 * horizon * (1.0 + rho);
   }
   PhaseGains gains{k, *f};
-  const SimResult sr = ctx.sim.simulate(gains, ctx.x0, ctx.u_prev0,
-                                        ctx.sim_opts);
+  const SimResult sr = ctx.sim.summarize(gains, ctx.x0, ctx.u_prev0,
+                                         ctx.sim_opts);
   double cost;
   if (sr.diverged) {
     cost = 5.0e2 * horizon;
@@ -73,13 +73,7 @@ double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
   } else {
     // Settling time is piecewise constant in the gains; a small integral
     // absolute error term breaks plateau ties toward robust centers.
-    double iae = 0.0;
-    const double rref = std::max(std::abs(ctx.sim_opts.r), 1e-12);
-    for (std::size_t i = 1; i < sr.t.size(); ++i) {
-      iae += std::abs(sr.y[i] - ctx.sim_opts.r) / rref *
-             (sr.t[i] - sr.t[i - 1]);
-    }
-    cost = sr.settling_time + 0.05 * iae;
+    cost = sr.settling_time + 0.05 * sr.iae;
   }
   if (sr.u_max_abs > ctx.spec.umax) {
     cost += 50.0 * horizon * (sr.u_max_abs / ctx.spec.umax - 1.0);
@@ -107,7 +101,7 @@ DesignResult report_for(const EvalContext& ctx,
   }
   res.gains = PhaseGains{k, *f};
   const SimResult sr =
-      ctx.sim.simulate(res.gains, ctx.x0, ctx.u_prev0, ctx.sim_opts);
+      ctx.sim.summarize(res.gains, ctx.x0, ctx.u_prev0, ctx.sim_opts);
   res.settling_time =
       sr.settled ? sr.settling_time : std::numeric_limits<double>::infinity();
   res.settled = sr.settled;
@@ -147,7 +141,6 @@ DesignResult design_controller(const DesignSpec& spec,
   ctx.sim_opts.hold_first_interval = true;
   ctx.sim_opts.settle_band = spec.settle_band;
   ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
-  ctx.sim_opts.dense_dt = opts.dense_dt;
 
   // Stage A (paper's PSO-over-poles spirit): scan a grid of closed-loop
   // pole patterns on the average-rate surrogate, recover gains with
@@ -386,7 +379,6 @@ DesignResult evaluate_gains(const DesignSpec& spec,
   ctx.sim_opts.hold_first_interval = true;
   ctx.sim_opts.settle_band = spec.settle_band;
   ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
-  ctx.sim_opts.dense_dt = opts.dense_dt;
 
   std::vector<double> theta(m * l);
   for (std::size_t j = 0; j < m; ++j) {

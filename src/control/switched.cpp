@@ -191,9 +191,10 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
   }
 }
 
-SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
-                                      const Matrix& x0, double u_prev0,
-                                      const SimOptions& opts) const {
+template <bool kTrace>
+SimResult SwitchedSimulator::run(const PhaseGains& gains, const Matrix& x0,
+                                 double u_prev0,
+                                 const SimOptions& opts) const {
   check_gain_dims(phases_, gains.k);
   if (gains.f.size() != phases_.size()) {
     throw std::invalid_argument("simulate: F count != phase count");
@@ -207,57 +208,89 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
   }
 
   SimResult res;
-  const std::size_t est =
-      static_cast<std::size_t>(opts.horizon / opts.dense_dt) + 16;
-  res.t.reserve(est);
-  res.y.reserve(est);
-  // Actuation-grained traces: one entry per traversed interval. Reserve
-  // from the known horizon and period so the while loop below never grows
-  // them (satellite of ISSUE 3: no reallocation in the step loop).
-  double period = 0.0;
-  for (const auto& iv : intervals_) period += iv.h;
-  const std::size_t est_acts =
-      period > 0.0 ? static_cast<std::size_t>(opts.horizon / period + 1.0) *
-                             intervals_.size() +
-                         2
-                   : 16;
-  res.ts.reserve(est_acts);
-  res.ys.reserve(est_acts);
-  res.u.reserve(est_acts);
+  if constexpr (kTrace) {
+    // Size the traces from the segments' exact step counts over the
+    // intervals the horizon spans, plus one interval of slack for the
+    // rounding of the accumulated clock. The test mirrors the step loop's
+    // `t < horizon`, so the walk ends whenever the simulation does.
+    std::size_t acts = 0;
+    std::size_t samples = 1;
+    double span = 0.0;
+    for (std::size_t p = opts.start_phase;; p = (p + 1) % phases_.size()) {
+      ++acts;
+      samples += dense_[p].before.steps + dense_[p].after.steps;
+      if (!(span < opts.horizon)) break;
+      span += phases_[p].h;
+    }
+    res.t.reserve(samples);
+    res.y.reserve(samples);
+    res.ts.reserve(acts);
+    res.ys.reserve(acts);
+    res.u.reserve(acts);
+  }
 
-  // State workspaces reused across every dense substep: the inner loop
-  // below runs ~horizon/dense_dt times per candidate and must not allocate
-  // (Matrix is small-buffer-optimized, so x/xn live on this frame).
-  Matrix x = x0;
-  Matrix xn(l, 1);
+  // Raw state on this frame (Matrix is small-buffer-optimized, so these
+  // workspaces do not allocate); the step swaps the two pointers.
+  Matrix xa = x0;
+  Matrix xb(l, 1);
+  double* x = xa.data();
+  double* xn = xb.data();
   // Row-times-column with the exact skip-zero/accumulation order of
-  // operator*, so traces stay bit-identical to the temporary-based code.
-  const auto row_dot = [l](const Matrix& row, const Matrix& col) {
+  // operator*; the dense step below keeps multiply_into + axpy_into's order
+  // (row sum from 0.0, then + u * (Phi B)_i), so results stay bit-identical.
+  const auto row_dot = [l](const double* row, const double* col) {
     double s = 0.0;
     for (std::size_t q = 0; q < l; ++q) {
-      const double rq = row(0, q);
+      const double rq = row[q];
       if (rq == 0.0) continue;
-      s += rq * col(q, 0);
+      s += rq * col[q];
     }
     return s;
   };
+  const double* c = plant_.c.data();
+  const double r = opts.r;
+  const double rref = std::max(std::abs(r), 1e-12);
+  // Tail error: mean relative error over the trailing 20% of the horizon
+  // (smooth measure the design search ranks non-settling candidates by).
+  const double t_tail = 0.8 * opts.horizon;
+  double tail_sum = 0.0;
+  std::size_t tail_cnt = 0;
+  SettlingTracker settle(r, opts.settle_band);
+
   double u_prev = u_prev0;
   double t = 0.0;
+  double y = row_dot(c, x);
   std::size_t phase = opts.start_phase;
   bool first = true;
-  res.t.push_back(0.0);
-  res.y.push_back(row_dot(plant_.c, x));
 
-  auto run_segment = [&](const Segment& seg, double u) {
-    for (std::size_t s = 0; s < seg.steps; ++s) {
-      multiply_into(xn, seg.e, x);     // xn = E x
-      axpy_into(xn, u, seg.pb);        // xn += u * (Phi B)
-      std::swap(x, xn);
-      t += seg.dt;
-      const double yv = row_dot(plant_.c, x);
+  // Every dense sample, the initial one included, feeds the trackers.
+  const auto dense_sample = [&] {
+    if constexpr (kTrace) {
       res.t.push_back(t);
-      res.y.push_back(yv);
-      if (std::abs(yv) > opts.divergence_bound) {
+      res.y.push_back(y);
+    }
+    if (!opts.settle_on_samples) settle.observe(t, y);
+    if (t >= t_tail) {
+      tail_sum += std::abs(y - r) / rref;
+      ++tail_cnt;
+    }
+  };
+  dense_sample();
+
+  const auto run_segment = [&](const Segment& seg, double u) {
+    const double* e = seg.e.data();
+    const double* pb = seg.pb.data();
+    for (std::size_t s = 0; s < seg.steps; ++s) {
+      for (std::size_t i = 0; i < l; ++i) {
+        xn[i] = row_dot(e + i * l, x) + u * pb[i];  // x+ = E x + u (Phi B)
+      }
+      std::swap(x, xn);
+      const double t_prev = t;
+      t += seg.dt;
+      y = row_dot(c, x);
+      dense_sample();
+      res.iae += std::abs(y - r) / rref * (t - t_prev);
+      if (std::abs(y) > opts.divergence_bound) {
         res.diverged = true;
         return false;
       }
@@ -266,20 +299,24 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
   };
 
   while (t < opts.horizon && !res.diverged) {
-    res.ts.push_back(t);  // sensing instant of this interval's task
-    res.ys.push_back(row_dot(plant_.c, x));
+    // Sensing instant of this interval's task; y is the current output.
+    if constexpr (kTrace) {
+      res.ts.push_back(t);
+      res.ys.push_back(y);
+    }
+    if (opts.settle_on_samples) settle.observe(t, y);
     double u_new;
     if (first && opts.hold_first_interval) {
       // The task in flight when the reference steps still targets the old
       // reference: at the old equilibrium its output equals u_prev0.
       u_new = u_prev;
     } else {
-      u_new = row_dot(gains.k[phase], x) + gains.f[phase] * opts.r;
+      u_new = row_dot(gains.k[phase].data(), x) + gains.f[phase] * r;
     }
     if (opts.clamp_u) {
       u_new = std::clamp(u_new, -*opts.clamp_u, *opts.clamp_u);
     }
-    res.u.push_back(u_new);
+    if constexpr (kTrace) res.u.push_back(u_new);
     res.u_max_abs = std::max(res.u_max_abs, std::abs(u_new));
     if (!run_segment(dense_[phase].before, u_prev)) break;
     if (!run_segment(dense_[phase].after, u_new)) break;
@@ -288,28 +325,24 @@ SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
     first = false;
   }
 
-  const SettlingInfo si =
-      opts.settle_on_samples
-          ? settling_time(res.ts, res.ys, opts.r, opts.settle_band)
-          : settling_time(res.t, res.y, opts.r, opts.settle_band);
+  const SettlingInfo si = settle.info();
   res.settling_time = si.time;
   res.settled = si.settled && !res.diverged;
-
-  // Mean relative error over the trailing 20% of the trace (smooth measure
-  // used by the design search to rank non-settling candidates).
-  const double t_tail = 0.8 * opts.horizon;
-  double err = 0.0;
-  std::size_t cnt = 0;
-  const double rref = std::max(std::abs(opts.r), 1e-12);
-  for (std::size_t i = 0; i < res.t.size(); ++i) {
-    if (res.t[i] >= t_tail) {
-      err += std::abs(res.y[i] - opts.r) / rref;
-      ++cnt;
-    }
-  }
-  res.tail_error = cnt > 0 ? err / static_cast<double>(cnt)
-                           : std::numeric_limits<double>::infinity();
+  res.tail_error = tail_cnt > 0 ? tail_sum / static_cast<double>(tail_cnt)
+                                : std::numeric_limits<double>::infinity();
   return res;
+}
+
+SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
+                                      const Matrix& x0, double u_prev0,
+                                      const SimOptions& opts) const {
+  return run<true>(gains, x0, u_prev0, opts);
+}
+
+SimResult SwitchedSimulator::summarize(const PhaseGains& gains,
+                                       const Matrix& x0, double u_prev0,
+                                       const SimOptions& opts) const {
+  return run<false>(gains, x0, u_prev0, opts);
 }
 
 SettlingInfo settling_time(const std::vector<double>& t,
@@ -318,27 +351,9 @@ SettlingInfo settling_time(const std::vector<double>& t,
   if (t.size() != y.size() || t.empty()) {
     throw std::invalid_argument("settling_time: bad trace");
   }
-  const double tol = band * std::max(std::abs(r), 1e-12);
-  // Scan backwards for the last violation.
-  std::size_t last_violation = t.size();  // sentinel: none
-  for (std::size_t i = t.size(); i-- > 0;) {
-    if (std::abs(y[i] - r) > tol) {
-      last_violation = i;
-      break;
-    }
-  }
-  SettlingInfo si;
-  if (last_violation == t.size()) {
-    si.time = t.front();
-    si.settled = true;
-  } else if (last_violation + 1 >= t.size()) {
-    si.time = std::numeric_limits<double>::infinity();
-    si.settled = false;
-  } else {
-    si.time = t[last_violation + 1];
-    si.settled = true;
-  }
-  return si;
+  SettlingTracker tracker(r, band);
+  for (std::size_t i = 0; i < t.size(); ++i) tracker.observe(t[i], y[i]);
+  return tracker.info();
 }
 
 }  // namespace catsched::control

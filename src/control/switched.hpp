@@ -6,6 +6,9 @@
 ///        design, and dense-output simulation with settling-time
 ///        measurement.
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -68,7 +71,6 @@ struct SimOptions {
   bool settle_on_samples = true;  ///< paper Sec. II-A measures settling on
                                   ///< the sampled output y[k]; false uses
                                   ///< the dense trajectory (stricter)
-  double dense_dt = 1.0e-4;       ///< target dense-output resolution [s]
   double divergence_bound = 1e9;  ///< |y| beyond this aborts as diverged
   std::optional<double> clamp_u;  ///< optional actuator saturation level
 };
@@ -86,6 +88,7 @@ struct SimResult {
   double u_max_abs = 0.0;  ///< max |u| over all actuated inputs
   bool diverged = false;
   double tail_error = 0.0;  ///< mean |y-r|/|r| over the last 20% of horizon
+  double iae = 0.0;  ///< integral of |y-r|/|r| over the dense trajectory
 };
 
 /// Simulator for one application's switched closed loop. Discretizes the
@@ -108,6 +111,12 @@ public:
   SimResult simulate(const PhaseGains& gains, const Matrix& x0,
                      double u_prev0, const SimOptions& opts) const;
 
+  /// Same run as simulate() without recording the traces: every metric of
+  /// the result is bit-identical, the t/y/u/ts/ys vectors stay empty. This
+  /// is the per-candidate objective path of the design search.
+  SimResult summarize(const PhaseGains& gains, const Matrix& x0,
+                      double u_prev0, const SimOptions& opts) const;
+
 private:
   struct Segment {
     Matrix e;    // substep state transition
@@ -124,6 +133,13 @@ private:
   std::vector<sched::Interval> intervals_;
   std::vector<PhaseDynamics> phases_;
   std::vector<PhaseDense> dense_;
+
+  /// The one step loop behind simulate() and summarize(): a single forward
+  /// pass that derives every SimResult metric as it goes, recording the
+  /// traces only when kTrace is set.
+  template <bool kTrace>
+  SimResult run(const PhaseGains& gains, const Matrix& x0, double u_prev0,
+                const SimOptions& opts) const;
 };
 
 /// Settling time of a sampled trajectory: the earliest time t_s such that
@@ -133,6 +149,35 @@ struct SettlingInfo {
   double time = 0.0;
   bool settled = false;
 };
+
+/// Forward settling-time tracker: feed the samples in time order. The
+/// settling time is the time of the sample right after the last band
+/// violation (the first sample's time when nothing violates), infinity when
+/// the latest sample violates.
+class SettlingTracker {
+public:
+  SettlingTracker(double r, double band)
+      : r_(r), tol_(band * std::max(std::abs(r), 1e-12)) {}
+
+  void observe(double t, double y) noexcept {
+    if (violated_ || !seen_) time_ = t;
+    seen_ = true;
+    violated_ = std::abs(y - r_) > tol_;
+  }
+
+  SettlingInfo info() const noexcept {
+    if (violated_) return {std::numeric_limits<double>::infinity(), false};
+    return {time_, true};
+  }
+
+private:
+  double r_;
+  double tol_;
+  double time_ = 0.0;
+  bool seen_ = false;
+  bool violated_ = false;
+};
+
 SettlingInfo settling_time(const std::vector<double>& t,
                            const std::vector<double>& y, double r,
                            double band);

@@ -60,14 +60,13 @@ LqrOutcome run_lqr(const control::ContinuousLTI& plant,
 
   LqrOutcome out;
   Matrix z = Matrix::zero(nz, 1);
-  std::vector<double> ts, ys;
+  control::SettlingTracker settle(r, band);
   double time = 0.0;
   std::size_t j = 0;
   while (time <= horizon) {
-    ts.push_back(time);
     double y = 0.0;
     for (std::size_t i = 0; i < l; ++i) y += plant.c(0, i) * z(i, 0);
-    ys.push_back(y);
+    settle.observe(time, y);
 
     const Matrix u = Matrix{{eq.u}} - lqr.k[j] * (z - z_ss);
     out.u_max = std::max(out.u_max, std::abs(u(0, 0)));
@@ -75,7 +74,7 @@ LqrOutcome run_lqr(const control::ContinuousLTI& plant,
     time += raw[j].h;
     j = (j + 1) % phases.size();
   }
-  const auto s = control::settling_time(ts, ys, r, band);
+  const auto s = settle.info();
   out.settling = s.time;
   out.settled = s.settled;
   out.cost = control::periodic_regulation_cost(

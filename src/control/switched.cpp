@@ -211,7 +211,7 @@ SimResult SwitchedSimulator::run(const PhaseGains& gains, const Matrix& x0,
   if constexpr (kTrace) {
     // Size the traces from the segments' exact step counts over the
     // intervals the horizon spans, plus one interval of slack for the
-    // rounding of the accumulated clock. The test mirrors the step loop's
+    // rounding of the accumulated clock. The break test mirrors the loop's
     // `t < horizon`, so the walk ends whenever the simulation does.
     std::size_t acts = 0;
     std::size_t samples = 1;

@@ -72,16 +72,12 @@ control::SettlingInfo replay(const control::DesignSpec& spec,
   linalg::Matrix x = eq.x;
   double u_prev = eq.u;
 
-  std::vector<double> ts;
-  std::vector<double> ys;
-  ts.reserve(starts.size());
-  ys.reserve(starts.size());
+  control::SettlingTracker settle(spec.r, band);
   const std::size_t m = gains.phases();
   for (std::size_t k = 0; k + 1 < starts.size(); ++k) {
     const double h = starts[k + 1] - starts[k];
     const double tau = std::min(taus[k], h);
-    ts.push_back(starts[k]);
-    ys.push_back((spec.plant.c * x)(0, 0));
+    settle.observe(starts[k], (spec.plant.c * x)(0, 0));
 
     const double u =
         (gains.k[k % m] * x)(0, 0) + gains.f[k % m] * spec.r;
@@ -89,7 +85,7 @@ control::SettlingInfo replay(const control::DesignSpec& spec,
     x = ph.ad * x + ph.b1 * u_prev + ph.b2 * u;
     u_prev = u;
   }
-  return control::settling_time(ts, ys, spec.r, band);
+  return settle.info();
 }
 
 }  // namespace

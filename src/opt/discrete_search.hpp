@@ -30,8 +30,6 @@ namespace catsched::opt {
 //                            state at return (the paper's "evaluated
 //                            schedules" accounting: a point costs once,
 //                            however many runs or threads touch it).
-// Fields predating the scheme are kept with a deprecation note and mirror
-// one of the two meanings bit-exactly.
 
 /// Outcome of one (expensive) objective evaluation at an integer point.
 struct EvalOutcome {
@@ -199,22 +197,23 @@ struct HybridResult {
   bool found_feasible = false;
   int steps = 0;                       ///< accepted moves
   int new_evaluations = 0;             ///< memo misses this run won
-  /// \deprecated Same value as new_evaluations (the pre-scheme name).
-  int evaluations = 0;
   std::vector<std::vector<int>> path;  ///< accepted points, start first
   /// Anytime observability; only `stop` is meaningful for a single run
   /// (checkpointing lives on the cache the caller owns).
   core::RunTelemetry telemetry;
 };
 
-/// One hybrid search from \p start. Evaluations go through \p cache; the
-/// run's `new_evaluations` field reports how many *new* points it cost.
-/// With a \p pool, each step's <= 2n neighbor candidates are evaluated
-/// concurrently; the accepted path and best point are bit-identical to the
-/// serial run (the step decision itself stays sequential).
-/// opts.anytime.budget makes the run anytime (checked per step; a
-/// mid-batch deadline discards the partial batch — its finished
-/// evaluations stay in the cache).
+/// One hybrid search from \p start: a single HybridDriver raced alone
+/// (opt::race, opt/portfolio.hpp) on the caller's \p cache. The run's
+/// `new_evaluations` field reports how many *new* points it cost, the
+/// start's own evaluation included. With a \p pool, each step's <= 2n
+/// neighbor candidates are evaluated concurrently; the accepted path and
+/// best point are bit-identical to the serial run (the step decision
+/// itself stays sequential). opts.anytime.budget makes the run anytime:
+/// it is checked per round (round 0 evaluates the start, round k the
+/// neighborhood of step k) and counts every memo miss, the start's
+/// included; a mid-round trip discards the partial neighborhood — its
+/// finished evaluations stay in the cache.
 /// \throws std::invalid_argument if start is empty, out of bounds, or
 ///         cheap-infeasible.
 HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
@@ -222,26 +221,27 @@ HybridResult hybrid_search(EvalCache& cache, const CheapFeasible& cheap,
                            const HybridOptions& opts,
                            core::ThreadPool* pool = nullptr);
 
-/// Multi-start driver: runs hybrid_search from every start against one
-/// shared cache and combines the best feasible outcome.
+/// Multi-start: one hybrid lane per start, raced against one shared cache,
+/// combining the best feasible outcome.
 struct MultiStartResult {
   HybridResult combined;
   std::vector<HybridResult> runs;
   int unique_evaluations = 0;  ///< distinct points in the shared cache
-  /// \deprecated Same value as unique_evaluations (the pre-scheme name).
-  int total_unique_evaluations = 0;
   /// Anytime/checkpoint observability (defaults = nothing fired).
   core::RunTelemetry telemetry;
 };
 
-/// With a \p pool the starts run concurrently against one shared
-/// thread-safe cache. Best point, best value and the total unique
-/// evaluation count are bit-identical to the serial run (each run's path
-/// depends only on objective values, which are memoized deterministically).
-/// Only the per-run `new_evaluations` split may differ: each run counts
-/// the points it computed itself (the sum over runs always equals
-/// unique_evaluations), so a point raced by two runs is charged to
-/// whichever won the memo slot.
+/// The lanes advance in lockstep, one step each per race round, and each
+/// round's proposals across all lanes are evaluated in one fan-out on
+/// \p pool; a budget cut therefore moves every start forward equally.
+/// Every run's path, best point and best value, and the total unique
+/// evaluation count, are bit-identical to the serial run (each lane's
+/// walk depends only on objective values, which are memoized
+/// deterministically). Only the per-run `new_evaluations` split may
+/// differ: each run counts the points it computed itself (the sum over
+/// runs always equals the points this call added to the cache), so a
+/// point two lanes propose in the same round is charged to whichever won
+/// the memo slot.
 MultiStartResult hybrid_search_multistart(
     const DiscreteObjective& objective, const CheapFeasible& cheap,
     const std::vector<std::vector<int>>& starts, const HybridOptions& opts,

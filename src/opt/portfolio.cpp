@@ -22,8 +22,8 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
   hybrid.min_value = opts.min_value;
   hybrid.max_value = opts.max_value;
   for (std::size_t i = 0; i < starts.size(); ++i) {
-    roster.push_back(make_hybrid_driver("hybrid:" + std::to_string(i), cheap,
-                                        starts[i], hybrid));
+    roster.push_back(std::make_unique<HybridDriver>(
+        "hybrid:" + std::to_string(i), cheap, starts[i], hybrid));
   }
   BeamDriverOptions beam = opts.beam;
   beam.tolerance = opts.tolerance;
@@ -52,115 +52,96 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
 
 }  // namespace
 
-PortfolioResult portfolio_search(const DiscreteObjective& objective,
-                                 const CheapFeasible& cheap,
-                                 const std::vector<std::vector<int>>& starts,
-                                 const PortfolioOptions& opts,
-                                 core::ThreadPool* pool,
-                                 const NeighborObjective& neighbor) {
-  if (starts.empty()) {
-    throw std::invalid_argument("portfolio_search: no starts");
-  }
+PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
+                     EvalCache& cache, int max_rounds, int elimination_rounds,
+                     core::RunBudget* budget, core::ThreadPool* pool) {
   PortfolioResult res;
-  core::RunBudget* budget = opts.anytime.budget;
-  if (budget != nullptr && budget->cancelled()) {
-    res.telemetry.stop = budget->reason();
-    return res;  // fired before the race started: do no work
-  }
+  // Per-driver memo misses: the cost split, and (summed) the race's charge
+  // against the budget.
+  std::vector<std::atomic<int>> misses(roster.size());
+  int noted = 0;  // misses already charged to the budget
+  const auto total_misses = [&] {
+    int total = 0;
+    for (const std::atomic<int>& m : misses) total += m.load();
+    return total;
+  };
 
-  // The roster validates every start (bounds + cheap filter) up front, so
-  // a bad input throws before any cache state exists.
-  std::vector<std::unique_ptr<SearchDriver>> roster =
-      build_roster(cheap, starts, opts);
-
-  EvalCache cache(objective, neighbor);
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every,
-                             opts.anytime.fault);
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
-  }
-  std::atomic<int> run_misses{0};
-
-  // consecutive rounds each strategy has trailed the incumbent
+  // consecutive rounds each driver has trailed the incumbent
   std::vector<int> behind_rounds(roster.size(), 0);
-  std::vector<bool> eliminated(roster.size(), false);
-  std::vector<int> rounds_raced(roster.size(), 0);
+  res.strategies.resize(roster.size());
   std::vector<std::size_t> live;
   live.reserve(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i) live.push_back(i);
 
-  const auto fold_incumbent = [&](const SearchDriver& d) {
-    if (d.found_feasible() &&
-        (!res.found_feasible || d.best_value() > res.best_value)) {
-      res.found_feasible = true;
-      res.best_value = d.best_value();
-      res.best = d.best();
-      res.winner = d.name();
-    }
-  };
-
-  for (int round = 0; round < opts.max_rounds && !live.empty(); ++round) {
-    // Anytime check, quantized to the round boundary: evaluations are
-    // noted only when a completed round publishes, so a run cut short
-    // after k rounds matches a max_rounds = k run bit for bit.
+  for (int round = 0; round < max_rounds && !live.empty(); ++round) {
+    // Anytime check, quantized to the round boundary.
     if (budget != nullptr && budget->cancelled()) {
       res.telemetry.stop = budget->reason();
       break;
     }
-    // Phase A (serial): every live strategy proposes. An empty batch
-    // latches the driver finished; it simply leaves the race.
+    // Propose (serial): an empty batch latches the driver finished; it
+    // simply leaves the race.
     struct RoundEntry {
       std::size_t idx;
       std::vector<std::vector<int>> points;
+      const std::vector<int>* base;
       std::vector<const EvalOutcome*> outcomes;
     };
     std::vector<RoundEntry> entries;
     entries.reserve(live.size());
+    std::vector<std::pair<std::size_t, std::size_t>> slots;  // (entry, k)
     for (const std::size_t idx : live) {
       std::vector<std::vector<int>> batch = roster[idx]->propose_batch();
-      if (!batch.empty()) {
-        entries.push_back(RoundEntry{idx, std::move(batch), {}});
+      if (batch.empty()) continue;
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        slots.emplace_back(entries.size(), k);
       }
+      std::vector<const EvalOutcome*> outcomes(batch.size(), nullptr);
+      entries.push_back(RoundEntry{idx, std::move(batch),
+                                   roster[idx]->anchor(),
+                                   std::move(outcomes)});
     }
     if (entries.empty()) break;  // everyone converged this round
 
-    // Phase B: evaluate each strategy's batch through the shared memo —
-    // the pool fans each batch out; misses cost once race-wide, and a
-    // driver with a delta anchor routes its misses through the
-    // delta-aware objective. A budget trip mid-phase discards the whole
-    // round (finished evaluations stay in the cache for a resume).
-    bool tripped = false;
-    for (RoundEntry& e : entries) {
-      std::vector<const std::vector<int>*> refs;
-      refs.reserve(e.points.size());
-      for (const std::vector<int>& p : e.points) refs.push_back(&p);
-      e.outcomes = cache.evaluate_batch(refs, pool, &run_misses,
-                                        roster[e.idx]->anchor(), budget);
-      if (budget != nullptr && budget->cancelled()) {
-        tripped = true;
-        break;
-      }
-    }
-    if (tripped) {
+    // Evaluate: one fan-out over every proposal of the round. A budget
+    // trip mid-round discards the whole round (finished evaluations stay
+    // in the cache for a resume).
+    core::parallel_for(
+        pool, slots.size(), 0,
+        [&](std::size_t j) {
+          RoundEntry& e = entries[slots[j].first];
+          const std::vector<int>& p = e.points[slots[j].second];
+          std::atomic<int>* charge = &misses[e.idx];
+          e.outcomes[slots[j].second] =
+              e.base != nullptr
+                  ? &cache.evaluate_neighbor_of(*e.base, p, charge)
+                  : &cache.evaluate(p, charge);
+        },
+        budget);
+    if (budget != nullptr && budget->cancelled()) {
       res.telemetry.stop = budget->reason();
       break;
     }
+    // The shared pot: the race is charged for its memo misses only — a
+    // resumed run replays at zero budget cost until new ground.
+    const int total = total_misses();
     if (budget != nullptr) {
-      // The shared pot: the race is charged for its memo misses only —
-      // a resumed run replays at zero budget cost until new ground.
-      const int misses = run_misses.exchange(0);
-      res.new_evaluations += misses;
-      budget->note_evaluations(static_cast<std::uint64_t>(misses));
-    } else {
-      res.new_evaluations += run_misses.exchange(0);
+      budget->note_evaluations(static_cast<std::uint64_t>(total - noted));
     }
+    noted = total;
 
-    // Phase C (serial, fixed order): observe, fold incumbents, retire.
+    // Observe (serial, fixed order), fold incumbents, retire.
     for (RoundEntry& e : entries) {
-      roster[e.idx]->observe_batch(e.points, e.outcomes);
-      ++rounds_raced[e.idx];
-      fold_incumbent(*roster[e.idx]);
+      SearchDriver& d = *roster[e.idx];
+      d.observe_batch(e.points, e.outcomes);
+      ++res.strategies[e.idx].rounds;
+      if (d.found_feasible() &&
+          (!res.found_feasible || d.best_value() > res.best_value)) {
+        res.found_feasible = true;
+        res.best_value = d.best_value();
+        res.best = d.best();
+        res.winner = d.name();
+      }
     }
     std::vector<std::size_t> next_live;
     next_live.reserve(live.size());
@@ -171,9 +152,8 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
           res.found_feasible &&
           (!d.found_feasible() || d.best_value() < res.best_value);
       behind_rounds[idx] = behind ? behind_rounds[idx] + 1 : 0;
-      if (opts.elimination_rounds > 0 &&
-          behind_rounds[idx] >= opts.elimination_rounds) {
-        eliminated[idx] = true;  // retired by the race
+      if (elimination_rounds > 0 && behind_rounds[idx] >= elimination_rounds) {
+        res.strategies[idx].eliminated = true;  // retired by the race
         continue;
       }
       next_live.push_back(idx);
@@ -186,23 +166,51 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
   }
 
   // Misses from a discarded round are still points this race won (they
-  // stay in the cache/journal) — fold them into the per-run cost split.
-  res.new_evaluations += run_misses.exchange(0);
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
+  // stay in the cache/journal) — they count in the per-run cost split.
+  res.new_evaluations = total_misses();
   res.unique_evaluations = cache.unique_evaluations();
-  res.strategies.reserve(roster.size());
   for (std::size_t i = 0; i < roster.size(); ++i) {
-    StrategyReport rep;
+    StrategyReport& rep = res.strategies[i];
     rep.name = roster[i]->name();
     rep.best = roster[i]->best();
     rep.best_value = roster[i]->best_value();
     rep.found_feasible = roster[i]->found_feasible();
-    rep.rounds = rounds_raced[i];
     rep.proposals = roster[i]->proposals();
-    rep.eliminated = eliminated[i];
-    res.strategies.push_back(std::move(rep));
+    rep.new_evaluations = misses[i].load();
   }
+  return res;
+}
+
+PortfolioResult portfolio_search(const DiscreteObjective& objective,
+                                 const CheapFeasible& cheap,
+                                 const std::vector<std::vector<int>>& starts,
+                                 const PortfolioOptions& opts,
+                                 core::ThreadPool* pool,
+                                 const NeighborObjective& neighbor) {
+  if (starts.empty()) {
+    throw std::invalid_argument("portfolio_search: no starts");
+  }
+  // The roster validates every start (bounds + cheap filter) up front, so
+  // a bad input throws before any cache state exists.
+  const std::vector<std::unique_ptr<SearchDriver>> roster =
+      build_roster(cheap, starts, opts);
+
+  EvalCache cache(objective, neighbor);
+  bool resumed = false;
+  bool used_fallback = false;
+  if (!opts.anytime.checkpoint_path.empty()) {
+    cache.enable_checkpoints(opts.anytime.checkpoint_path,
+                             opts.anytime.checkpoint_every,
+                             opts.anytime.fault);
+    resumed = cache.try_resume(&used_fallback);
+  }
+  PortfolioResult res =
+      race(roster, cache, opts.max_rounds, opts.elimination_rounds,
+           opts.anytime.budget, pool);
+  res.telemetry.resumed = resumed;
+  res.telemetry.used_fallback = used_fallback;
+  cache.save_checkpoint();
+  res.telemetry.checkpoints_written = cache.checkpoints_written();
   return res;
 }
 

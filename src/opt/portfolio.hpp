@@ -8,14 +8,18 @@
 ///        all the others — the paper's "a schedule costs once" accounting
 ///        (Sec. IV) extended across heterogeneous strategies.
 ///
-/// Round protocol (all portfolio-side steps serial, in fixed strategy
-/// order — the only parallelism is inside the cache's batch evaluation,
-/// which is bit-identical at every thread count):
+/// The race itself is opt::race, the one round loop the integer-vector
+/// searches run on (hybrid_search and multi-start race hybrid lanes only;
+/// exhaustive_search's block scan is the one exception). Round protocol
+/// (every driver-side step serial, in fixed roster order):
 ///   1. every live driver proposes a batch;
-///   2. the batches are evaluated through the shared memo (misses only
-///      cost once, duplicates across strategies dedup);
-///   3. every driver observes its own outcomes;
-///   4. a strategy whose best has trailed the incumbent for
+///   2. ONE pooled fan-out evaluates all proposals of the round through
+///      the shared memo (misses only cost once, duplicates across drivers
+///      dedup), each point anchored at its own driver's delta base and its
+///      miss charged to that driver;
+///   3. every driver observes its own outcomes, in roster order, and the
+///      incumbent folds in;
+///   4. a driver whose best has trailed the incumbent for
 ///      `elimination_rounds` consecutive rounds is retired (the incumbent
 ///      holder is never behind, so it can never retire).
 /// The race is therefore bit-identical serial vs. any pool, and resumable:
@@ -24,6 +28,7 @@
 /// the budget) until it fast-forwards past the kill point.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +71,10 @@ struct StrategyReport {
   int rounds = 0;     ///< rounds this strategy participated in
   int proposals = 0;  ///< points it proposed over its lifetime
   bool eliminated = false;  ///< retired by the race (vs. self-converged)
+  /// Memo misses this strategy won. On a pool, a point two strategies
+  /// propose in the same round is charged to whichever wins the memo slot;
+  /// the sum over strategies is always the race's new_evaluations.
+  int new_evaluations = 0;
 };
 
 /// One row of the race history (appended after each completed round).
@@ -93,6 +102,18 @@ struct PortfolioResult {
   std::vector<PortfolioRound> history;  ///< evals-to-quality trace
   core::RunTelemetry telemetry;
 };
+
+/// The round loop: race \p roster against \p cache for at most
+/// \p max_rounds rounds (protocol above; elimination_rounds <= 0 disables
+/// retirement). \p budget is consulted at round boundaries and at chunk
+/// claims inside the fan-out: a mid-round trip discards the round, and
+/// evaluations are noted only when a completed round publishes, so a run
+/// cut after k rounds matches a max_rounds = k run bit for bit. Fills
+/// every PortfolioResult field except the checkpoint telemetry, which
+/// belongs to the cache's owner; `strategies` follows roster order.
+PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
+                     EvalCache& cache, int max_rounds, int elimination_rounds,
+                     core::RunBudget* budget, core::ThreadPool* pool);
 
 /// Race the standard roster from \p starts: one hybrid walk per start,
 /// plus one beam / pattern / anneal / genetic strategy (beam, pattern and

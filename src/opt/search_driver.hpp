@@ -7,13 +7,14 @@
 ///        SearchDrivers that *propose* a batch of points per round and
 ///        *observe* their outcomes — never evaluating anything themselves.
 ///
-/// The portfolio (opt/portfolio.hpp) races drivers against one shared
-/// EvalCache and one ThreadPool. The propose/observe split is what makes
-/// the race deterministic: a driver's next batch depends only on the
-/// outcomes it has observed and its own seeded RNG (testgen::SplitMix64 —
+/// opt::race (opt/portfolio.hpp) runs drivers against one shared EvalCache
+/// and one ThreadPool. The propose/observe split is what makes the race
+/// deterministic: a driver's next batch depends only on the outcomes it
+/// has observed and its own seeded RNG (testgen::SplitMix64 —
 /// platform-pinned, per the determinism policy), while all parallelism
-/// lives in the cache's batch evaluation, whose results are bit-identical
-/// at every thread count. Drivers therefore never see thread timing.
+/// lives in the race's per-round evaluation fan-out, whose results are
+/// bit-identical at every thread count. Drivers therefore never see
+/// thread timing.
 ///
 /// Monotone-move note: stochastic drivers resample proposals through the
 /// CheapFeasible filter, so the observed/RNG-consumed sequence is a pure
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "opt/discrete_search.hpp"
@@ -55,8 +57,8 @@ class SearchDriver {
   std::vector<std::vector<int>> propose_batch();
 
   /// Report outcomes for the batch just proposed, in proposal order; every
-  /// pointer must be non-null (the portfolio discards half-evaluated
-  /// rounds before observing — see opt/portfolio.hpp).
+  /// pointer must be non-null (opt::race discards half-evaluated rounds
+  /// before observing — see opt/portfolio.hpp).
   void observe_batch(const std::vector<std::vector<int>>& points,
                      const std::vector<const EvalOutcome*>& outcomes);
 
@@ -75,8 +77,7 @@ class SearchDriver {
   void finish() { finished_ = true; }
 
   /// Shared walk ordering: infeasible points rank a full unit below their
-  /// value so random walks can cross them but never prefer one (the same
-  /// rule the SA/GA baselines use).
+  /// value so random walks can cross them but never prefer one.
   static double walk_value(const EvalOutcome& out) {
     return out.feasible ? out.value : out.value - 1.0;
   }
@@ -90,14 +91,48 @@ class SearchDriver {
   int proposals_ = 0;
 };
 
-/// Steepest-ascent hybrid (paper Sec. IV) in driver form: per round the
-/// +-1 neighborhood of the current point, the per-dimension quadratic-model
-/// gradient rule picking the move. Bit-identical walk to hybrid_search on
-/// the same cache (opts.anytime is ignored — the portfolio owns anytime).
-std::unique_ptr<SearchDriver> make_hybrid_driver(std::string name,
-                                                 CheapFeasible cheap,
-                                                 std::vector<int> start,
-                                                 const HybridOptions& opts);
+/// The paper's hybrid gradient walk (Sec. IV): round 0 evaluates the
+/// start, every later round the +-1 neighborhood of the current point; the
+/// per-dimension quadratic models rank the moves and the first unvisited,
+/// feasible, within-tolerance target is taken. hybrid_search is one of
+/// these raced alone, multi-start one per start, and the portfolio races
+/// one per start among the other strategies. opts.anytime is ignored: the
+/// race owns the budget.
+class HybridDriver final : public SearchDriver {
+ public:
+  /// \throws std::invalid_argument if start is empty, out of bounds, or
+  ///         cheap-infeasible.
+  HybridDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
+               const HybridOptions& opts);
+
+  const std::vector<int>* anchor() const override {
+    return seeded_ ? &cur_ : nullptr;
+  }
+  /// Accepted points, start first (empty until the start is observed).
+  const std::vector<std::vector<int>>& path() const { return path_; }
+  int steps() const { return steps_; }  ///< accepted moves
+
+ protected:
+  std::vector<std::vector<int>> propose() override;
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const EvalOutcome*>& outcomes) override;
+
+ private:
+  struct Pending {
+    std::size_t dim;
+    int dir;
+  };
+
+  CheapFeasible cheap_;
+  HybridOptions opts_;
+  std::vector<int> cur_;
+  EvalOutcome cur_out_;
+  bool seeded_ = false;
+  int steps_ = 0;
+  std::vector<std::vector<int>> path_;
+  std::vector<Pending> pending_;
+  std::unordered_set<std::vector<int>, core::VectorHash> visited_;
+};
 
 /// The beam (move-ordering) variant of the hybrid walk.
 struct BeamDriverOptions {
@@ -134,8 +169,7 @@ struct AnnealDriverOptions {
 /// per proposal, and the FIRST accepted move (improvements always, losses
 /// with probability exp(delta/T) on walk_value) becomes the new current
 /// point — the rest of the round only feeds best-tracking. RNG is
-/// SplitMix64 (the std-engine baseline in opt/anneal.cpp predates the
-/// determinism policy).
+/// SplitMix64.
 std::unique_ptr<SearchDriver> make_anneal_driver(
     std::string name, CheapFeasible cheap, std::vector<int> start,
     const AnnealDriverOptions& opts);
@@ -158,9 +192,9 @@ struct GeneticDriverOptions {
 /// assigns walk_value fitness and breeds the next generation (tournament
 /// selection, uniform crossover, +-1 mutation with cheap-feasibility
 /// repair, elitism). Half the initial population is biased low (genes in
-/// [min, min+3]) like the opt/genetic.cpp baseline; all randomness is
-/// SplitMix64. The all-min point (cheap-feasible whenever anything is —
-/// the filter is monotone) backstops failed initial draws.
+/// [min, min+3]); all randomness is SplitMix64. The all-min point
+/// (cheap-feasible whenever anything is — the filter is monotone)
+/// backstops failed initial draws.
 /// \throws std::invalid_argument if dims == 0 or population < 2.
 std::unique_ptr<SearchDriver> make_genetic_driver(
     std::string name, CheapFeasible cheap, std::size_t dims,

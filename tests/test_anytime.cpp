@@ -1,10 +1,11 @@
 // Pins the anytime/fault-tolerance contract of the Stage-2 searches:
 //
 //   * cooperative cancellation is step-quantized and deterministic — an
-//     interleaved run cut short by an evaluation budget after k accepted
-//     steps is bit-identical (best schedule, Pall bits, published
-//     evaluation count, accepted path) to an uninterrupted max_steps = k
-//     run, and cancelled runs reproduce themselves exactly;
+//     interleaved run, a lone hybrid run or a lockstep hybrid multi-start
+//     run cut short by an evaluation budget after k accepted steps is
+//     bit-identical (best point, Pall bits, evaluation count, accepted
+//     paths) to an uninterrupted max_steps = k run, and cancelled runs
+//     reproduce themselves exactly;
 //   * a fired budget returns best-so-far with a structured StopReason,
 //     never throws, and a pre-fired budget returns before any evaluation;
 //   * checkpoint/resume converges to the bit-identical final result of an
@@ -19,6 +20,7 @@
 // fractions of a second while exercising the real evaluation pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
@@ -170,7 +172,7 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   EXPECT_EQ(capped.telemetry.stop, core::StopReason::completed);
   EXPECT_EQ(cut.best.to_string(), capped.best.to_string());
   EXPECT_EQ(bits(cut.best_evaluation.pall), bits(capped.best_evaluation.pall));
-  EXPECT_EQ(cut.evaluations, capped.evaluations);
+  EXPECT_EQ(cut.unique_evaluations, capped.unique_evaluations);
   EXPECT_EQ(cut.path, capped.path);
   EXPECT_EQ(cut.steps, capped.steps);
 }
@@ -187,7 +189,7 @@ TEST(AnytimeInterleaved, PreFiredBudgetReturnsBeforeAnyEvaluation) {
       opts);
   EXPECT_EQ(res.telemetry.stop, core::StopReason::stop_requested);
   EXPECT_FALSE(res.found);
-  EXPECT_EQ(res.evaluations, 0);
+  EXPECT_EQ(res.unique_evaluations, 0);
   EXPECT_EQ(res.steps, 0);
 }
 
@@ -210,6 +212,72 @@ TEST(AnytimeHybrid, CancelledRunsAreReproducible) {
   if (a.found) {
     EXPECT_EQ(a.best_schedule.to_string(), b.best_schedule.to_string());
     EXPECT_EQ(bits(a.best_evaluation.pall), bits(b.best_evaluation.pall));
+  }
+}
+
+TEST(AnytimeHybrid, EvalLimitCutMatchesMaxStepsRun) {
+  // The starts advance in lockstep, one race round each, and the cap is
+  // only noted when a round completes: a capped multi-start run is the
+  // uncapped run with max_steps = its longest accepted path, at every
+  // thread count.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    core::ThreadPool pool(threads);
+    core::ThreadPool* p = threads > 1 ? &pool : nullptr;
+
+    core::Evaluator ev(reduced_system(), fast_options(), p);
+    core::RunBudget budget;
+    budget.set_max_evaluations(20);
+    opt::HybridOptions o = hybrid_opts();
+    o.anytime.budget = &budget;
+    const auto cut = core::find_optimal_schedule(ev, kStarts, o, p);
+    EXPECT_EQ(cut.search.telemetry.stop, core::StopReason::evaluation_limit);
+    int steps = 0;
+    for (const auto& r : cut.search.runs) steps = std::max(steps, r.steps);
+    ASSERT_GT(steps, 0);
+
+    opt::HybridOptions capped_opts = hybrid_opts();
+    capped_opts.max_steps = steps;
+    const auto capped =
+        core::find_optimal_schedule(ev, kStarts, capped_opts, p);
+    EXPECT_EQ(capped.search.telemetry.stop, core::StopReason::completed);
+    ASSERT_EQ(cut.search.runs.size(), capped.search.runs.size());
+    for (std::size_t i = 0; i < cut.search.runs.size(); ++i) {
+      const opt::HybridResult& a = cut.search.runs[i];
+      const opt::HybridResult& b = capped.search.runs[i];
+      EXPECT_EQ(a.path, b.path) << "run " << i;
+      EXPECT_EQ(a.best, b.best) << "run " << i;
+      EXPECT_EQ(bits(a.best_value), bits(b.best_value)) << "run " << i;
+    }
+    EXPECT_EQ(cut.search.unique_evaluations,
+              capped.search.unique_evaluations);
+
+    // The same contract for a lone hybrid_search, whose start evaluation
+    // counts toward the cap too.
+    core::RunBudget lone_budget;
+    lone_budget.set_max_evaluations(8);
+    opt::HybridOptions lone_opts = hybrid_opts();
+    lone_opts.anytime.budget = &lone_budget;
+    opt::EvalCache cut_cache(core::make_objective(ev),
+                             core::make_neighbor_objective(ev));
+    const auto lone_cut = opt::hybrid_search(
+        cut_cache, core::make_cheap_feasible(ev), {1, 1}, lone_opts, p);
+    EXPECT_EQ(lone_cut.telemetry.stop, core::StopReason::evaluation_limit);
+    ASSERT_GT(lone_cut.steps, 0);
+    opt::HybridOptions lone_capped_opts = hybrid_opts();
+    lone_capped_opts.max_steps = lone_cut.steps;
+    opt::EvalCache capped_cache(core::make_objective(ev),
+                                core::make_neighbor_objective(ev));
+    const auto lone_capped = opt::hybrid_search(
+        capped_cache, core::make_cheap_feasible(ev), {1, 1}, lone_capped_opts,
+        p);
+    EXPECT_EQ(lone_capped.telemetry.stop, core::StopReason::completed);
+    EXPECT_EQ(lone_cut.path, lone_capped.path);
+    EXPECT_EQ(lone_cut.best, lone_capped.best);
+    EXPECT_EQ(bits(lone_cut.best_value), bits(lone_capped.best_value));
+    EXPECT_EQ(lone_cut.new_evaluations, lone_capped.new_evaluations);
+    EXPECT_EQ(cut_cache.unique_evaluations(),
+              capped_cache.unique_evaluations());
   }
 }
 
@@ -336,7 +404,7 @@ TEST(CheckpointResume, InterleavedResumesBitIdentical) {
   ASSERT_TRUE(resumed.found);
   EXPECT_EQ(ref.best.to_string(), resumed.best.to_string());
   EXPECT_EQ(bits(ref.best_evaluation.pall), bits(resumed.best_evaluation.pall));
-  EXPECT_EQ(ref.evaluations, resumed.evaluations);
+  EXPECT_EQ(ref.unique_evaluations, resumed.unique_evaluations);
   EXPECT_EQ(ref.path, resumed.path);
 }
 
@@ -417,7 +485,7 @@ TEST(CheckpointResume, FaultPlanCorruptionIsDetectedOnResume) {
   EXPECT_TRUE(resumed.telemetry.used_fallback);
   EXPECT_EQ(ref.best.to_string(), resumed.best.to_string());
   EXPECT_EQ(bits(ref.best_evaluation.pall), bits(resumed.best_evaluation.pall));
-  EXPECT_EQ(ref.evaluations, resumed.evaluations);
+  EXPECT_EQ(ref.unique_evaluations, resumed.unique_evaluations);
 }
 
 }  // namespace

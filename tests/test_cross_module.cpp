@@ -1,14 +1,10 @@
 /// \file test_cross_module.cpp
 /// \brief Cross-module consistency locks: the static WCET analyzer vs the
 ///        cache simulator on the real case-study programs, JSR invariance
-///        under the internal balancing, preemptive vs non-preemptive
-///        timing sanity, and the export round trip of a real simulation.
+///        under the internal balancing, and preemptive vs non-preemptive
+///        timing sanity.
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "cache/crpd.hpp"
 #include "cache/static_wcet.hpp"
@@ -16,7 +12,6 @@
 #include "control/jsr.hpp"
 #include "core/case_study.hpp"
 #include "core/evaluator.hpp"
-#include "core/export.hpp"
 #include "sched/preemptive.hpp"
 
 namespace {
@@ -96,45 +91,6 @@ TEST(CrossModule, PreemptiveResponseNeverBeatsIsolatedWcet) {
     EXPECT_GE(rta.response[i].value, wcets[i].cold_seconds - 1e-15);
     EXPECT_GT(rta.response[i].value, wcets[i].warm_seconds);
   }
-}
-
-TEST(CrossModule, ExportRoundTripsARealSimulation) {
-  // Simulate one case-study loop briefly and write/read its trace.
-  const auto sys = catsched::core::date18_case_study();
-  catsched::core::Evaluator ev(sys, [] {
-    auto o = catsched::core::date18_design_options();
-    o.pso.particles = 10;
-    o.pso.iterations = 15;
-    o.pso_restarts = 1;
-    o.scale_budget_with_dims = false;
-    return o;
-  }());
-  auto eval = ev.evaluate(catsched::sched::PeriodicSchedule({1, 1, 1}));
-  ASSERT_TRUE(eval.idle_feasible);
-
-  // Use the timing to run one dense simulation of app 0.
-  const auto& app = sys.apps[0];
-  catsched::control::SwitchedSimulator sim(
-      app.plant, eval.timing.apps[0].intervals, 1e-4);
-  catsched::control::SimOptions so;
-  so.r = app.r;
-  so.horizon = 5e-3;
-  const auto trace = sim.simulate(eval.apps[0].design.gains,
-                                  catsched::linalg::Matrix::zero(2, 1), 0.0,
-                                  so);
-
-  const std::string stem = std::string(::testing::TempDir()) + "xmod";
-  catsched::core::write_sim_trace(stem, trace);
-  std::ifstream dense(stem + "_dense.csv");
-  ASSERT_TRUE(dense.good());
-  std::string header;
-  std::getline(dense, header);
-  EXPECT_EQ(header, "t,y");
-  std::size_t rows = 0;
-  for (std::string line; std::getline(dense, line);) ++rows;
-  EXPECT_EQ(rows, trace.t.size());
-  std::remove((stem + "_dense.csv").c_str());
-  std::remove((stem + "_samples.csv").c_str());
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(HybridSearch, ClimbsToOptimumFromBothPaperStarts) {
     const auto res = hybrid_search(cache, cheap_box, start, opts);
     EXPECT_TRUE(res.found_feasible);
     EXPECT_EQ(res.best, (std::vector<int>{3, 2, 3})) << "start " << start[0];
-    EXPECT_GT(res.evaluations, 0);
+    EXPECT_GT(res.new_evaluations, 0);
   }
 }
 
@@ -154,7 +154,7 @@ TEST(HybridSearch, MemoSharedAcrossStarts) {
   EXPECT_EQ(ms.combined.best, (std::vector<int>{3, 2, 3}));
   // Shared memo: total unique evaluations < sum of independent runs.
   int sum_runs = 0;
-  for (const auto& r : ms.runs) sum_runs += r.evaluations;
+  for (const auto& r : ms.runs) sum_runs += r.new_evaluations;
   EXPECT_EQ(ms.unique_evaluations, sum_runs);
   EXPECT_LT(ms.unique_evaluations, 2 * 30);
 }

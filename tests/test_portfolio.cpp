@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -123,6 +124,10 @@ TEST(Portfolio, FindsTheOptimumOnTheBowl) {
   EXPECT_GT(res.new_evaluations, 0);
   EXPECT_EQ(res.new_evaluations, res.unique_evaluations);
   EXPECT_EQ(res.strategies.size(), kStarts.size() + 4);  // + beam/pat/sa/ga
+  // Every miss is charged to exactly one strategy.
+  int charged = 0;
+  for (const StrategyReport& s : res.strategies) charged += s.new_evaluations;
+  EXPECT_EQ(charged, res.new_evaluations);
   EXPECT_EQ(res.history.size(), static_cast<std::size_t>(res.rounds));
   // The history's unique-evaluation column is the cache size after each
   // round: non-decreasing, ending at the final total.
@@ -297,20 +302,26 @@ TEST(Portfolio, RejectsBadStarts) {
 
 // ------------------------------------------------- individual drivers
 
+namespace {
+
+/// Race one driver alone to self-convergence on a fresh cache.
+PortfolioResult race_alone(std::unique_ptr<SearchDriver> drv,
+                           const DiscreteObjective& objective) {
+  std::vector<std::unique_ptr<SearchDriver>> roster;
+  roster.push_back(std::move(drv));
+  EvalCache cache(objective);
+  return race(roster, cache, 1000, 0, nullptr, nullptr);
+}
+
+}  // namespace
+
 TEST(SearchDriver, PatternDriverContractsToTheOptimum) {
-  auto drv = make_pattern_driver("pattern", cheap_box, {1, 1, 1},
-                                 PatternDriverOptions{4, 1, 8, 100});
-  EvalCache cache(bowl);
-  while (!drv->finished()) {
-    const auto batch = drv->propose_batch();
-    if (batch.empty()) break;
-    std::vector<const EvalOutcome*> outs;
-    outs.reserve(batch.size());
-    for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-    drv->observe_batch(batch, outs);
-  }
-  EXPECT_TRUE(drv->found_feasible());
-  EXPECT_EQ(drv->best(), (std::vector<int>{3, 2, 3}));
+  const auto res = race_alone(
+      make_pattern_driver("pattern", cheap_box, {1, 1, 1},
+                          PatternDriverOptions{4, 1, 8, 100}),
+      bowl);
+  EXPECT_TRUE(res.found_feasible);
+  EXPECT_EQ(res.best, (std::vector<int>{3, 2, 3}));
 }
 
 TEST(SearchDriver, BeamWiderThanOneDominatesNarrowBeamOnTheRoughLandscape) {
@@ -318,17 +329,9 @@ TEST(SearchDriver, BeamWiderThanOneDominatesNarrowBeamOnTheRoughLandscape) {
     BeamDriverOptions o;
     o.width = width;
     o.max_value = 8;
-    auto drv = make_beam_driver("beam", cheap_wide, {1, 1}, o);
-    EvalCache cache(two_basins);
-    while (!drv->finished()) {
-      const auto batch = drv->propose_batch();
-      if (batch.empty()) break;
-      std::vector<const EvalOutcome*> outs;
-      outs.reserve(batch.size());
-      for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-      drv->observe_batch(batch, outs);
-    }
-    return drv->best_value();
+    return race_alone(make_beam_driver("beam", cheap_wide, {1, 1}, o),
+                      two_basins)
+        .best_value;
   };
   // A wider frontier can only see more of the move graph per round.
   EXPECT_GE(run_beam(3), run_beam(1));

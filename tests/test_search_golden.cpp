@@ -1,17 +1,24 @@
 /// \file test_search_golden.cpp
-/// \brief Golden bit patterns of the integer-vector searches: a lone
-///        hybrid_search, hybrid_search_multistart and portfolio_search on
-///        real evaluators, compared as raw IEEE-754 bits against digests
+/// \brief Golden bit patterns of the searches: a lone hybrid_search,
+///        hybrid_search_multistart, portfolio_search and interleaved_search
+///        on real evaluators, compared as raw IEEE-754 bits against digests
 ///        recorded from the reference implementation. No tolerances: a
-///        refactor of the search loop must leave every accepted path, best
-///        point, Pall bit and evaluation count in place.
+///        refactor of a search loop or of the evaluator's neighbor path
+///        must leave every accepted path, best point, Pall bit and
+///        evaluation count in place.
 ///
 /// Coverage: the DATE'18 case study at a reduced PSO budget and eight
 /// generated systems under fuzz_design_options(), each run serially and on
-/// a 4-worker pool (the digests are thread-count invariant). Only fields
-/// that are deterministic at every thread count enter the digests: the
-/// multi-start per-run `new_evaluations` split depends on which run wins a
-/// raced memo slot, so only its sum is pinned.
+/// a 4-worker pool (the digests are thread-count invariant). The generated
+/// systems are observed twice: on the binary cold/warm WCET model and on a
+/// context-WCET evaluator, so both branches of the evaluator's neighbor
+/// timing derivation are pinned (the context run covers the lone hybrid
+/// walk and the interleaved search; its race digests stay 0). Only fields that are deterministic at
+/// every thread count enter the digests: the multi-start per-run
+/// `new_evaluations` split depends on which run wins a raced memo slot, so
+/// only its sum is pinned, and which caller completes a shared schedule
+/// first decides whether it counts as a neighbor evaluation, so that
+/// counter is left out.
 ///
 /// On a mismatch the test prints the observed digests; re-recording them
 /// is only legitimate for a change that is meant to alter search results.
@@ -30,6 +37,7 @@
 #include "core/case_study.hpp"
 #include "core/codesign.hpp"
 #include "core/evaluator.hpp"
+#include "core/interleaved_codesign.hpp"
 #include "core/parallel.hpp"
 #include "opt/discrete_search.hpp"
 #include "opt/portfolio.hpp"
@@ -94,6 +102,7 @@ struct Observed {
   std::uint64_t hybrid = 0;
   std::uint64_t multistart = 0;
   std::uint64_t portfolio = 0;
+  std::uint64_t interleaved = 0;
   bool operator==(const Observed&) const = default;
 };
 
@@ -103,6 +112,7 @@ struct Case {
   std::vector<std::vector<int>> starts;
   opt::HybridOptions hybrid;
   std::uint64_t seed = 1;
+  bool context_wcets = false;
 };
 
 opt::PortfolioOptions portfolio_options(const Case& c) {
@@ -123,22 +133,26 @@ opt::PortfolioOptions portfolio_options(const Case& c) {
 Observed observe(const Case& c, std::size_t threads) {
   std::unique_ptr<core::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<core::ThreadPool>(threads);
-  core::Evaluator ev(c.model, c.design, pool.get());
+  core::EvaluatorOptions eopts;
+  eopts.context_wcets = c.context_wcets;
+  core::Evaluator ev(c.model, c.design, pool.get(), eopts);
   const opt::DiscreteObjective objective = core::make_objective(ev);
   const opt::NeighborObjective neighbor = core::make_neighbor_objective(ev);
   const opt::CheapFeasible cheap = core::make_cheap_feasible(ev);
   Observed o;
 
+  opt::EvalCache cache(objective, neighbor);
+  const opt::HybridResult hybrid = opt::hybrid_search(
+      cache, cheap, c.starts.front(), c.hybrid, pool.get());
   {
-    opt::EvalCache cache(objective, neighbor);
-    const opt::HybridResult r = opt::hybrid_search(
-        cache, cheap, c.starts.front(), c.hybrid, pool.get());
     Digest d;
-    add_walk(d, r);
-    d.add(r.new_evaluations);
+    add_walk(d, hybrid);
+    d.add(hybrid.new_evaluations);
     o.hybrid = d.value();
   }
-  {
+  // The races add nothing to the context-WCET run that the lone walk and
+  // the interleaved search below do not already pin.
+  if (!c.context_wcets) {
     const opt::MultiStartResult ms = opt::hybrid_search_multistart(
         objective, cheap, c.starts, c.hybrid, pool.get(), neighbor);
     Digest d;
@@ -153,7 +167,7 @@ Observed observe(const Case& c, std::size_t threads) {
     d.add(new_sum);
     o.multistart = d.value();
   }
-  {
+  if (!c.context_wcets) {
     const opt::PortfolioResult pf = opt::portfolio_search(
         objective, cheap, c.starts, portfolio_options(c), pool.get(),
         neighbor);
@@ -185,6 +199,33 @@ Observed observe(const Case& c, std::size_t threads) {
     }
     o.portfolio = d.value();
   }
+  {
+    // Interleaved search from the hybrid walk's best, on the same
+    // evaluator (as the co-design flow chains them), with small caps.
+    core::InterleavedSearchOptions iopts;
+    iopts.tolerance = c.hybrid.tolerance;
+    iopts.max_steps = 3;
+    iopts.max_segments = 5;
+    iopts.max_burst = 4;
+    const catsched::sched::InterleavedSchedule start =
+        catsched::sched::InterleavedSchedule::from_periodic(
+            catsched::sched::PeriodicSchedule(
+                hybrid.found_feasible ? hybrid.best : c.starts.front()));
+    const core::InterleavedSearchResult il =
+        core::interleaved_search(ev, start, iopts, pool.get());
+    Digest d;
+    d.add(il.found);
+    d.add(il.best.to_string());
+    d.add(il.best_evaluation.pall);
+    d.add(il.best_evaluation.feasible());
+    d.add(static_cast<std::uint64_t>(il.path.size()));
+    for (const std::string& key : il.path) d.add(key);
+    d.add(il.steps);
+    d.add(il.unique_evaluations);
+    d.add(ev.designs_run());
+    d.add(ev.schedule_evaluations());
+    o.interleaved = d.value();
+  }
   return o;
 }
 
@@ -201,11 +242,14 @@ void expect_golden(const Golden& g, const Case& c) {
     EXPECT_EQ(o.hybrid, g.digests.hybrid);
     EXPECT_EQ(o.multistart, g.digests.multistart);
     EXPECT_EQ(o.portfolio, g.digests.portfolio);
+    EXPECT_EQ(o.interleaved, g.digests.interleaved);
     if (!(o == g.digests)) {
-      std::printf("    {\"%s\", {0x%016llxull, 0x%016llxull, 0x%016llxull}},\n",
+      std::printf("    {\"%s\",\n     {0x%016llxull, 0x%016llxull, "
+                  "0x%016llxull,\n      0x%016llxull}},\n",
                   g.label, static_cast<unsigned long long>(o.hybrid),
                   static_cast<unsigned long long>(o.multistart),
-                  static_cast<unsigned long long>(o.portfolio));
+                  static_cast<unsigned long long>(o.portfolio),
+                  static_cast<unsigned long long>(o.interleaved));
     }
   }
 }
@@ -213,7 +257,8 @@ void expect_golden(const Golden& g, const Case& c) {
 TEST(SearchGolden, CaseStudyDigestsArePinned) {
   const Golden golden{
       "case study",
-      {0x121f009096ab788bull, 0x6c9b4a86deef933eull, 0x2d8a0bbd8919128aull}};
+      {0x121f009096ab788bull, 0x6c9b4a86deef933eull, 0x2d8a0bbd8919128aull,
+       0x68787dec7eef4e31ull}};
   Case c;
   c.model = core::date18_case_study();
   c.design = core::date18_design_options();
@@ -228,52 +273,100 @@ TEST(SearchGolden, CaseStudyDigestsArePinned) {
   expect_golden(golden, c);
 }
 
+/// Seed \p seed of the default generator, at the invariant harness's
+/// design budget, on the binary or the context-WCET evaluator. The starts
+/// are chosen on the binary model in both modes.
+Case generated_case(std::uint64_t seed, bool context_wcets) {
+  const testgen::GeneratedSystem sys =
+      testgen::generate_system(testgen::GeneratorConfig{}, seed);
+  Case c;
+  c.model = sys.model;
+  c.seed = seed;
+  c.context_wcets = context_wcets;
+  // Same per-system resolution cap as the invariant harness.
+  c.design = testgen::fuzz_design_options();
+  double max_smax = 0.0;
+  for (const core::Application& a : sys.model.apps) {
+    max_smax = std::max(max_smax, a.smax);
+  }
+  c.design.dense_dt = std::max(
+      c.design.dense_dt,
+      c.design.horizon_factor * max_smax /
+          static_cast<double>(testgen::InvariantOptions{}.dense_steps));
+  const std::size_t n = sys.model.apps.size();
+  std::vector<int> alt(n, 1);
+  for (std::size_t i = 1; i < n; i += 2) alt[i] = 3;
+  c.starts = {std::vector<int>(n, 1)};
+  if (core::Evaluator(sys.model, c.design)
+          .idle_feasible(catsched::sched::PeriodicSchedule(alt))) {
+    c.starts.push_back(alt);
+  }
+  c.hybrid.max_value = 3;
+  c.hybrid.tolerance = 0.005;
+  return c;
+}
+
 TEST(SearchGolden, GeneratedSystemDigestsArePinned) {
   const Golden golden[] = {
       {"seed 1",
-       {0x05928b5ddde7f3e9ull, 0x2ca3c397bd771a56ull, 0x3b5d50dafeef4c04ull}},
+       {0x05928b5ddde7f3e9ull, 0x2ca3c397bd771a56ull, 0x3b5d50dafeef4c04ull,
+        0x80110821a9b3bd8bull}},
       {"seed 2",
-       {0x5d9e447a836eb047ull, 0x665ab6b6479720a8ull, 0xe1236d74c7353196ull}},
+       {0x5d9e447a836eb047ull, 0x665ab6b6479720a8ull, 0xe1236d74c7353196ull,
+        0x4cc67862ffcd3c6dull}},
       {"seed 3",
-       {0x62f22ef8ff6c07faull, 0x354182b86db62a65ull, 0xe5253ce4868ae17cull}},
+       {0x62f22ef8ff6c07faull, 0x354182b86db62a65ull, 0xe5253ce4868ae17cull,
+        0x2774ecbff6613557ull}},
       {"seed 4",
-       {0x7dfbf6ca36739986ull, 0x0afeb337c6337f2bull, 0x0c88d7d0493520f8ull}},
+       {0x7dfbf6ca36739986ull, 0x0afeb337c6337f2bull, 0x0c88d7d0493520f8ull,
+        0xd32f0be04555879aull}},
       {"seed 5",
-       {0x09378026188f016bull, 0xaebb373826cb8fb9ull, 0xcb03a0caf7bfcd3eull}},
+       {0x09378026188f016bull, 0xaebb373826cb8fb9ull, 0xcb03a0caf7bfcd3eull,
+        0xdd8d7c10f823fba2ull}},
       {"seed 6",
-       {0x0c105bdf3db466f5ull, 0x970b2d4457f5300cull, 0x4c57990f3882a0c5ull}},
+       {0x0c105bdf3db466f5ull, 0x970b2d4457f5300cull, 0x4c57990f3882a0c5ull,
+        0x0ac7296ab529b5f5ull}},
       {"seed 7",
-       {0x4d835a7cf835be3aull, 0x780924183deacc7eull, 0x0856c4833e3362ebull}},
+       {0x4d835a7cf835be3aull, 0x780924183deacc7eull, 0x0856c4833e3362ebull,
+        0x0efd95012f7c52a4ull}},
       {"seed 8",
-       {0x219026386e760f3aull, 0xa1b6f9c29997c312ull, 0xd2b2457914b0eb46ull}},
+       {0x219026386e760f3aull, 0xa1b6f9c29997c312ull, 0xd2b2457914b0eb46ull,
+        0x08ace36cf42a5062ull}},
   };
-  const testgen::GeneratorConfig config;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const testgen::GeneratedSystem sys = testgen::generate_system(config, seed);
-    Case c;
-    c.model = sys.model;
-    c.seed = seed;
-    // Same per-system resolution cap as the invariant harness.
-    c.design = testgen::fuzz_design_options();
-    double max_smax = 0.0;
-    for (const core::Application& a : sys.model.apps) {
-      max_smax = std::max(max_smax, a.smax);
-    }
-    c.design.dense_dt = std::max(
-        c.design.dense_dt,
-        c.design.horizon_factor * max_smax /
-            static_cast<double>(testgen::InvariantOptions{}.dense_steps));
-    const std::size_t n = sys.model.apps.size();
-    std::vector<int> alt(n, 1);
-    for (std::size_t i = 1; i < n; i += 2) alt[i] = 3;
-    c.starts = {std::vector<int>(n, 1)};
-    if (core::Evaluator(sys.model, c.design)
-            .idle_feasible(catsched::sched::PeriodicSchedule(alt))) {
-      c.starts.push_back(alt);
-    }
-    c.hybrid.max_value = 3;
-    c.hybrid.tolerance = 0.005;
-    expect_golden(golden[seed - 1], c);
+    expect_golden(golden[seed - 1], generated_case(seed, false));
+  }
+}
+
+TEST(SearchGolden, GeneratedSystemContextWcetDigestsArePinned) {
+  const Golden golden[] = {
+      {"seed 1 (context WCETs)",
+       {0xe1edc15856298affull, 0x0ull, 0x0ull,
+        0xab81ebf361b65d30ull}},
+      {"seed 2 (context WCETs)",
+       {0x75da2392e4512bc2ull, 0x0ull, 0x0ull,
+        0xec99099ccc4253beull}},
+      {"seed 3 (context WCETs)",
+       {0x0ce50368fd7694ccull, 0x0ull, 0x0ull,
+        0xa0db18f303f0b9eaull}},
+      {"seed 4 (context WCETs)",
+       {0x89efaec05b962cfbull, 0x0ull, 0x0ull,
+        0x30a15b73c7b567b6ull}},
+      {"seed 5 (context WCETs)",
+       {0xb79c033049a7cd69ull, 0x0ull, 0x0ull,
+        0xa26de1a12f2838c4ull}},
+      {"seed 6 (context WCETs)",
+       {0xf27e1216e689a2b0ull, 0x0ull, 0x0ull,
+        0xb9b5378c7c4532c7ull}},
+      {"seed 7 (context WCETs)",
+       {0xe0217dea6272611aull, 0x0ull, 0x0ull,
+        0xf1d10b05a84811b0ull}},
+      {"seed 8 (context WCETs)",
+       {0x1fb109d6682a6265ull, 0x0ull, 0x0ull,
+        0xd5eba795e3fe3468ull}},
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    expect_golden(golden[seed - 1], generated_case(seed, true));
   }
 }
 

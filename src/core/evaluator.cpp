@@ -61,16 +61,44 @@ Evaluator::Evaluator(SystemModel model, control::DesignOptions design_opts,
 
 Evaluator::~Evaluator() = default;
 
-sched::ScheduleTiming Evaluator::derive(
-    const sched::InterleavedSchedule& s) const {
-  return context_ ? sched::derive_timing(wcets_, *context_, s)
-                  : sched::derive_timing(wcets_, s);
+sched::ScheduleTiming Evaluator::derive(const std::vector<std::size_t>& seq,
+                                        std::size_t num_apps) const {
+  return context_ ? sched::derive_timing(wcets_, *context_, seq, num_apps)
+                  : sched::derive_timing(wcets_, seq, num_apps);
 }
 
 sched::TimingPattern Evaluator::expand(
     const sched::InterleavedSchedule& s) const {
   return context_ ? sched::expand_timing(wcets_, *context_, s)
                   : sched::expand_timing(wcets_, s);
+}
+
+sched::ScheduleTiming Evaluator::derive_compared(
+    const std::vector<std::size_t>& seq, std::size_t num_apps,
+    const sched::ScheduleTiming& base,
+    std::vector<bool>* app_unchanged) const {
+  sched::ScheduleTiming timing = derive(seq, num_apps);
+  if (app_unchanged != nullptr) {
+    app_unchanged->assign(num_apps, false);
+    for (std::size_t i = 0; i < num_apps && i < base.apps.size(); ++i) {
+      (*app_unchanged)[i] = timing.apps[i].intervals == base.apps[i].intervals;
+    }
+  }
+  return timing;
+}
+
+sched::ScheduleTiming Evaluator::derive_neighbor_timing(
+    const sched::InterleavedSchedule& s, const Anchor& anchor,
+    std::vector<bool>* app_unchanged) const {
+  if (anchor.move) {
+    return derive_neighbor_timing(anchor.pattern, *anchor.move, app_unchanged);
+  }
+  if (anchor.rotation) {
+    return derive_neighbor_timing(anchor.pattern, *anchor.rotation,
+                                  app_unchanged);
+  }
+  return derive_compared(s.task_sequence(), s.num_apps(),
+                         anchor.pattern.timing, app_unchanged);
 }
 
 sched::ScheduleTiming Evaluator::derive_neighbor_timing(
@@ -84,17 +112,8 @@ sched::ScheduleTiming Evaluator::derive_neighbor_timing(
   // lands in), so the moved sequence is re-derived from scratch and the
   // reuse flags are recovered by comparison — the same contract the delta
   // path's app_unchanged carries.
-  const std::size_t num_apps = base.timing.apps.size();
-  sched::ScheduleTiming timing = sched::derive_timing(
-      wcets_, *context_, sched::apply_move(base.seq, move), num_apps);
-  if (app_unchanged != nullptr) {
-    app_unchanged->resize(num_apps);
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      (*app_unchanged)[i] =
-          timing.apps[i].intervals == base.timing.apps[i].intervals;
-    }
-  }
-  return timing;
+  return derive_compared(sched::apply_move(base.seq, move),
+                         base.timing.apps.size(), base.timing, app_unchanged);
 }
 
 sched::ScheduleTiming Evaluator::derive_neighbor_timing(
@@ -104,19 +123,9 @@ sched::ScheduleTiming Evaluator::derive_neighbor_timing(
     return sched::derive_timing_rotation(wcets_, base, rot, app_unchanged);
   }
   // Context mode: a rotation moves whole blocks between interference gaps,
-  // flipping masks of tasks far outside the rotated range — same recovery
-  // as the one-task-move overload above.
-  const std::size_t num_apps = base.timing.apps.size();
-  sched::ScheduleTiming timing = sched::derive_timing(
-      wcets_, *context_, sched::apply_rotation(base.seq, rot), num_apps);
-  if (app_unchanged != nullptr) {
-    app_unchanged->resize(num_apps);
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      (*app_unchanged)[i] =
-          timing.apps[i].intervals == base.timing.apps[i].intervals;
-    }
-  }
-  return timing;
+  // flipping masks of tasks far outside the rotated range.
+  return derive_compared(sched::apply_rotation(base.seq, rot),
+                         base.timing.apps.size(), base.timing, app_unchanged);
 }
 
 bool Evaluator::idle_feasible(const sched::PeriodicSchedule& s) const {
@@ -124,7 +133,7 @@ bool Evaluator::idle_feasible(const sched::PeriodicSchedule& s) const {
 }
 
 bool Evaluator::idle_feasible(const sched::InterleavedSchedule& s) const {
-  return sched::idle_feasible(derive(s), tidle_);
+  return idle_feasible(derive(s.task_sequence(), s.num_apps()));
 }
 
 bool Evaluator::idle_feasible(const sched::ScheduleTiming& timing) const {
@@ -132,11 +141,6 @@ bool Evaluator::idle_feasible(const sched::ScheduleTiming& timing) const {
 }
 
 AppEvaluation Evaluator::evaluate_app(
-    std::size_t app, const std::vector<sched::Interval>& intervals) {
-  return evaluate_app_keyed(app, intervals, quantize_intervals(intervals));
-}
-
-AppEvaluation Evaluator::evaluate_app_keyed(
     std::size_t app, const std::vector<sched::Interval>& intervals,
     std::vector<std::int64_t> key) {
   ++design_requests_;
@@ -163,8 +167,9 @@ AppEvaluation Evaluator::evaluate_app_keyed(
                          ? 1.0 - ev.settling_time / a.smax
                          : -std::numeric_limits<double>::infinity();
     ev.feasible = ev.design.feasible && ev.performance >= 0.0;
-    // Fingerprint for the delta path: neighbors whose quantized pattern
-    // matches reuse this evaluation without a design-memo round trip.
+    // Fingerprint for anchored evaluations: neighbors whose quantized
+    // pattern matches reuse this evaluation without a design-memo round
+    // trip.
     ev.pattern_key = memo_key.second;
     ev.pattern_hash = VectorHash{}(memo_key.second);
     return ev;
@@ -175,46 +180,82 @@ ScheduleEvaluation Evaluator::evaluate(const sched::PeriodicSchedule& s) {
   return evaluate(sched::InterleavedSchedule::from_periodic(s));
 }
 
+ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s,
+                                       const Anchor* anchor) {
+  const std::size_t napps = model_.num_apps();
+  if (anchor == nullptr || anchor->eval.apps.size() != napps ||
+      anchor->pattern.timing.apps.size() != napps) {
+    return complete(derive(s.task_sequence(), s.num_apps()), nullptr, {});
+  }
+  std::vector<bool> unchanged;
+  sched::ScheduleTiming timing = derive_neighbor_timing(s, *anchor, &unchanged);
+  return complete(std::move(timing), &anchor->eval, unchanged);
+}
+
 const ScheduleEvaluation& Evaluator::evaluate_cached(
     const sched::InterleavedSchedule& s) {
   return evaluate_cached(s, s.to_string());
 }
 
 const ScheduleEvaluation& Evaluator::evaluate_cached(
-    const sched::InterleavedSchedule& s, const std::string& key) {
-  return schedule_memo_.get_or_compute(key, [&] { return evaluate(s); });
-}
-
-ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s,
-                                       const ScheduleEvaluation& base_hint) {
-  const std::size_t napps = model_.num_apps();
-  if (base_hint.apps.size() != napps ||
-      base_hint.timing.apps.size() != napps) {
-    return evaluate(s);  // unusable hint (e.g. default-constructed)
-  }
-  sched::ScheduleTiming timing = derive(s);
-  std::vector<bool> unchanged(napps);
-  for (std::size_t i = 0; i < napps; ++i) {
-    unchanged[i] =
-        timing.apps[i].intervals == base_hint.timing.apps[i].intervals;
-  }
-  return evaluate_neighbor_from_timing(base_hint, std::move(timing),
-                                       unchanged);
-}
-
-const ScheduleEvaluation& Evaluator::evaluate_cached(
     const sched::InterleavedSchedule& s, const std::string& key,
-    const ScheduleEvaluation& base_hint) {
+    const Anchor* anchor) {
   return schedule_memo_.get_or_compute(key,
-                                       [&] { return evaluate(s, base_hint); });
+                                       [&] { return evaluate(s, anchor); });
 }
 
-void Evaluator::reduce_apps(ScheduleEvaluation& out,
-                            std::vector<AppEvaluation>& evs) {
+const sched::TimingPattern& Evaluator::timing_pattern(
+    const sched::InterleavedSchedule& s, const std::string& key) {
+  return pattern_memo_.get_or_compute(key, [&] { return expand(s); });
+}
+
+ScheduleEvaluation Evaluator::complete(sched::ScheduleTiming&& timing,
+                                       const ScheduleEvaluation* base,
+                                       const std::vector<bool>& app_unchanged) {
+  if (base != nullptr) ++neighbor_evaluations_;
+  ScheduleEvaluation out;
+  out.timing = std::move(timing);
+  out.idle_feasible = sched::idle_feasible(out.timing, tidle_);
+  const std::size_t napps = model_.num_apps();
+  // Batched per-app designs: every app of this schedule lands in its own
+  // index-addressed slot (fanned across pool_ when present; each design
+  // additionally batches its PSO generations on the same pool), then Pall
+  // is reduced serially in app order — bit-identical to the serial loop.
+  // Reused apps cost a copy; the rest go through the per-app memo, so a
+  // pattern shared with another schedule (or requested concurrently) is
+  // still designed exactly once.
+  std::vector<AppEvaluation> evs(napps);
+  const auto body = [&](std::size_t i) {
+    const std::vector<sched::Interval>& intervals = out.timing.apps[i].intervals;
+    const AppEvaluation* prior = base != nullptr ? &base->apps[i] : nullptr;
+    if (prior != nullptr && app_unchanged[i]) {
+      // Interval list provably identical to the base schedule's: the
+      // quantized key would match too, so skip re-quantization entirely.
+      evs[i] = *prior;
+      ++apps_reused_;
+      return;
+    }
+    std::vector<std::int64_t> key = quantize_intervals(intervals);
+    if (prior != nullptr && VectorHash{}(key) == prior->pattern_hash &&
+        key == prior->pattern_key) {
+      // Sub-picosecond drift only: same design problem as the base.
+      evs[i] = *prior;
+      ++apps_reused_;
+      return;
+    }
+    evs[i] = evaluate_app(i, intervals, std::move(key));
+  };
+  // Inline serial loop: no std::function round trip on the hot
+  // (memoized-design) path.
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < napps; ++i) body(i);
+  } else {
+    parallel_for(pool_, napps, body);
+  }
   out.control_feasible = true;
   out.pall = 0.0;
-  out.apps.reserve(evs.size());
-  for (std::size_t i = 0; i < evs.size(); ++i) {
+  out.apps.reserve(napps);
+  for (std::size_t i = 0; i < napps; ++i) {
     AppEvaluation& ev = evs[i];
     out.control_feasible = out.control_feasible && ev.feasible;
     if (std::isfinite(ev.performance)) {
@@ -224,148 +265,7 @@ void Evaluator::reduce_apps(ScheduleEvaluation& out,
     }
     out.apps.push_back(std::move(ev));
   }
-}
-
-ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s) {
-  ScheduleEvaluation out;
-  out.timing = derive(s);
-  out.idle_feasible = sched::idle_feasible(out.timing, tidle_);
-  const std::size_t napps = model_.num_apps();
-  // Batched per-app designs: every app of this schedule lands in its own
-  // index-addressed slot (fanned across pool_ when present; each design
-  // additionally batches its PSO generations on the same pool), then Pall
-  // is reduced serially in app order — bit-identical to the serial loop.
-  // The per-app memo stays in the path, so a pattern shared with another
-  // schedule (or requested concurrently) is still designed exactly once.
-  std::vector<AppEvaluation> evs(napps);
-  const auto body = [&](std::size_t i) {
-    evs[i] = evaluate_app(i, out.timing.apps[i].intervals);
-  };
-  // Inline serial loop: no std::function round trip on the hot
-  // (memoized-design) path.
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < napps; ++i) body(i);
-  } else {
-    parallel_for(pool_, napps, body);
-  }
-  reduce_apps(out, evs);
   return out;
-}
-
-const sched::TimingPattern& Evaluator::timing_pattern(
-    const sched::InterleavedSchedule& s, const std::string& key) {
-  return pattern_memo_.get_or_compute(key, [&] { return expand(s); });
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor_from_timing(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged) {
-  ++neighbor_evaluations_;
-  ScheduleEvaluation out;
-  out.timing = std::move(timing);
-  out.idle_feasible = sched::idle_feasible(out.timing, tidle_);
-  const std::size_t napps = model_.num_apps();
-  // Same fan-out/serial-reduction shape as evaluate(): reused apps cost a
-  // copy, changed apps re-enter the design memo — so parallel runs stay
-  // bit-identical to serial and to the from-scratch evaluation.
-  std::vector<AppEvaluation> evs(napps);
-  const auto body = [&](std::size_t i) {
-    const AppEvaluation& prior = base_eval.apps[i];
-    if (app_unchanged[i]) {
-      // Interval list provably identical to the base schedule's: the
-      // quantized key would match too, so skip re-quantization entirely.
-      evs[i] = prior;
-      ++apps_reused_;
-      return;
-    }
-    std::vector<std::int64_t> key =
-        quantize_intervals(out.timing.apps[i].intervals);
-    if (VectorHash{}(key) == prior.pattern_hash && key == prior.pattern_key) {
-      // Sub-picosecond drift only: same design problem as the base.
-      evs[i] = prior;
-      ++apps_reused_;
-      return;
-    }
-    evs[i] = evaluate_app_keyed(i, out.timing.apps[i].intervals,
-                                std::move(key));
-  };
-  if (pool_ == nullptr) {
-    for (std::size_t i = 0; i < napps; ++i) body(i);
-  } else {
-    parallel_for(pool_, napps, body);
-  }
-  reduce_apps(out, evs);
-  return out;
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor(
-    const sched::TimingPattern& base_pattern,
-    const ScheduleEvaluation& base_eval, const sched::TaskMove& move) {
-  std::vector<bool> unchanged;
-  sched::ScheduleTiming timing =
-      derive_neighbor_timing(base_pattern, move, &unchanged);
-  return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                       unchanged);
-}
-
-ScheduleEvaluation Evaluator::evaluate_neighbor(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged) {
-  return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                       app_unchanged);
-}
-
-const ScheduleEvaluation& Evaluator::evaluate_neighbor_cached(
-    const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-    const std::vector<bool>& app_unchanged, const std::string& key) {
-  return schedule_memo_.get_or_compute(key, [&] {
-    return evaluate_neighbor_from_timing(base_eval, std::move(timing),
-                                         app_unchanged);
-  });
-}
-
-const ScheduleEvaluation& Evaluator::evaluate_periodic_move(
-    const sched::PeriodicSchedule& base, const sched::PeriodicSchedule& moved) {
-  const auto moved_il = sched::InterleavedSchedule::from_periodic(moved);
-  const std::string moved_key = moved_il.to_string();
-  // Locate the single +-1 burst difference; anything else (different app
-  // count, multi-dimension change, |step| > 1) falls back to the full path.
-  std::size_t dim = base.num_apps();
-  int step = 0;
-  bool delta_ok = base.num_apps() == moved.num_apps();
-  for (std::size_t i = 0; delta_ok && i < base.num_apps(); ++i) {
-    const int d = moved.burst(i) - base.burst(i);
-    if (d == 0) continue;
-    if (step != 0 || (d != 1 && d != -1)) {
-      delta_ok = false;
-    } else {
-      dim = i;
-      step = d;
-    }
-  }
-  if (!delta_ok || step == 0) return evaluate_cached(moved_il, moved_key);
-
-  const auto base_il = sched::InterleavedSchedule::from_periodic(base);
-  const std::string base_key = base_il.to_string();
-  const ScheduleEvaluation& base_eval = evaluate_cached(base_il, base_key);
-  const sched::TimingPattern& pattern = timing_pattern(base_il, base_key);
-  // Task position: end of burst `dim` (bursts are laid out in app order).
-  std::size_t prefix = 0;
-  for (std::size_t i = 0; i < dim; ++i) {
-    prefix += static_cast<std::size_t>(base.burst(i));
-  }
-  sched::TaskMove move;
-  move.app = dim;
-  if (step > 0) {
-    move.kind = sched::TaskMove::Kind::insert;
-    move.pos = prefix + static_cast<std::size_t>(base.burst(dim));
-  } else {
-    move.kind = sched::TaskMove::Kind::remove;
-    move.pos = prefix + static_cast<std::size_t>(base.burst(dim)) - 1;
-  }
-  return schedule_memo_.get_or_compute(moved_key, [&] {
-    return evaluate_neighbor(pattern, base_eval, move);
-  });
 }
 
 }  // namespace catsched::core

@@ -57,8 +57,9 @@ struct AppEvaluation {
   double performance = 0.0;    ///< P_i = 1 - s_i / s_i^max (paper eq. (2))
   bool feasible = false;       ///< P_i >= 0 and design feasible (eq. (3))
   /// Quantized timing pattern this evaluation was designed for, and its
-  /// fingerprint: evaluate_neighbor compares a neighbor app's fingerprint
-  /// against these to reuse the evaluation without a design-memo round trip.
+  /// fingerprint: an anchored evaluation compares a neighbor app's
+  /// fingerprint against these to reuse the evaluation without a
+  /// design-memo round trip.
   std::vector<std::int64_t> pattern_key;
   std::uint64_t pattern_hash = 0;
 };
@@ -73,6 +74,20 @@ struct ScheduleEvaluation {
   bool feasible() const noexcept {
     return idle_feasible && control_feasible;
   }
+};
+
+/// An already-evaluated base schedule a neighbor is evaluated against:
+/// its expanded timing pattern and its evaluation (both of the SAME base
+/// schedule), plus at most one edit saying how the neighbor follows from
+/// it — a one-task `move` or a block `rotation` of the base's task
+/// sequence. With neither, the neighbor is derived from scratch and only
+/// the per-app reuse applies. An edit must describe the neighbor exactly
+/// (interleaved_neighbor_moves verifies its descriptors).
+struct Anchor {
+  const sched::TimingPattern& pattern;
+  const ScheduleEvaluation& eval;
+  std::optional<sched::TaskMove> move;
+  std::optional<sched::BlockRotation> rotation;
 };
 
 /// Evaluates schedules for a fixed SystemModel. Holds the WCET analysis
@@ -119,91 +134,23 @@ public:
   /// Cheap feasibility: idle-time constraint only (paper eq. (4)).
   bool idle_feasible(const sched::PeriodicSchedule& s) const;
   bool idle_feasible(const sched::InterleavedSchedule& s) const;
-  /// Same check on an already-derived timing (the incremental path derives
-  /// timing once via derive_timing_delta and filters on it directly).
+  /// Same check on an already-derived timing (the searches' idle
+  /// pre-filter runs it on derive_neighbor_timing's result).
   bool idle_feasible(const sched::ScheduleTiming& timing) const;
 
   /// Full evaluation: per-app holistic controller design + Pall.
   ScheduleEvaluation evaluate(const sched::PeriodicSchedule& s);
-  ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s);
 
-  /// Full evaluation with a base hint: timing is derived from scratch (the
-  /// schedule need not be a one-task move of the base — segment swaps are
-  /// the main caller), but apps whose interval lists match the hint's are
-  /// reused without re-quantization, and quantized-fingerprint matches skip
-  /// the design-memo round trip. Bit-identical to evaluate(s) for ANY hint
-  /// (matching lists imply the same design-memo entry).
+  /// Full evaluation of \p s. With an \p anchor, timing comes from
+  /// derive_neighbor_timing(s, *anchor) and every app whose interval list
+  /// is unchanged from the anchor's (or whose quantized fingerprint
+  /// matches) reuses the anchor's AppEvaluation without a design-memo
+  /// round trip. Bit-identical to the anchor-free evaluation for any
+  /// anchor that describes its own base consistently (gtest-enforced
+  /// differentially); an anchor whose app count does not match the model
+  /// (e.g. a resume overlay's synthetic evaluation) is ignored.
   ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s,
-                              const ScheduleEvaluation& base_hint);
-
-  /// Memoized variant of the hinted evaluation (same schedule memo as
-  /// evaluate_cached, so either path may own a key — the values are
-  /// bit-identical).
-  const ScheduleEvaluation& evaluate_cached(
-      const sched::InterleavedSchedule& s, const std::string& key,
-      const ScheduleEvaluation& base_hint);
-
-  /// Expanded per-task pattern of a base schedule, memoized on the
-  /// canonical key (s.to_string()); the anchor every delta evaluation of
-  /// its neighbors starts from. Reference stays valid for the evaluator's
-  /// lifetime.
-  const sched::TimingPattern& timing_pattern(
-      const sched::InterleavedSchedule& s, const std::string& key);
-
-  /// Timing of the one-task-move neighbor of \p base, in whichever WCET
-  /// mode this evaluator runs: binary mode takes the incremental
-  /// derive_timing_delta path verbatim; context mode re-derives the moved
-  /// sequence from scratch (a move can change interference masks far from
-  /// the edit) and recovers \p app_unchanged by comparing interval lists
-  /// against the base pattern — same flags, same downstream reuse. The
-  /// searches call this instead of derive_timing_delta so both modes flow
-  /// through one pre-filter path.
-  /// \throws std::invalid_argument like derive_timing_delta.
-  sched::ScheduleTiming derive_neighbor_timing(
-      const sched::TimingPattern& base, const sched::TaskMove& move,
-      std::vector<bool>* app_unchanged) const;
-
-  /// Same mode dispatch for the segment-swap neighbor class: binary mode
-  /// takes sched::derive_timing_rotation (the incremental block-rotation
-  /// delta), context mode re-derives the rotated sequence from scratch and
-  /// recovers \p app_unchanged by interval-list comparison.
-  /// \throws std::invalid_argument like derive_timing_rotation.
-  sched::ScheduleTiming derive_neighbor_timing(
-      const sched::TimingPattern& base, const sched::BlockRotation& rot,
-      std::vector<bool>* app_unchanged) const;
-
-  /// Delta-aware evaluation of the one-task-move neighbor of a base
-  /// schedule: derives timing incrementally from \p base_pattern and reuses
-  /// \p base_eval's AppEvaluations for every app whose interval list is
-  /// provably unchanged (no re-quantization) or whose quantized fingerprint
-  /// matches (no design-memo round trip). Bit-identical to evaluate() on
-  /// the moved schedule (gtest-enforced differentially).
-  ScheduleEvaluation evaluate_neighbor(
-      const sched::TimingPattern& base_pattern,
-      const ScheduleEvaluation& base_eval, const sched::TaskMove& move);
-
-  /// Same, for callers that already ran derive_timing_delta (e.g. to check
-  /// idle feasibility first, as the interleaved search's pre-filter does):
-  /// completes the evaluation from the derived timing without re-deriving.
-  ScheduleEvaluation evaluate_neighbor(const ScheduleEvaluation& base_eval,
-                                       sched::ScheduleTiming&& timing,
-                                       const std::vector<bool>& app_unchanged);
-
-  /// Memoized neighbor evaluation for callers that pre-derived the moved
-  /// timing (the interleaved search's idle pre-filter already ran the
-  /// delta): on a schedule-memo miss the evaluation is completed from
-  /// \p timing + \p app_unchanged; on a hit they are discarded. \p key is
-  /// the canonical string of the MOVED schedule.
-  const ScheduleEvaluation& evaluate_neighbor_cached(
-      const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-      const std::vector<bool>& app_unchanged, const std::string& key);
-
-  /// Delta-aware periodic m +- e_i evaluation used by the hybrid search:
-  /// routes through the schedule memo, evaluating the moved point as a
-  /// one-task neighbor of \p base (falls back to a full evaluation if the
-  /// points are not single-burst neighbors). Bit-identical to evaluate().
-  const ScheduleEvaluation& evaluate_periodic_move(
-      const sched::PeriodicSchedule& base, const sched::PeriodicSchedule& moved);
+                              const Anchor* anchor = nullptr);
 
   /// Memoized whole-schedule evaluation, keyed on the canonical segment
   /// string: however many searches (or threads) revisit a segment pattern,
@@ -211,9 +158,49 @@ public:
   /// stays valid for the evaluator's lifetime (sharded compute-once map).
   const ScheduleEvaluation& evaluate_cached(const sched::InterleavedSchedule& s);
   /// Same, for callers that already hold the canonical key (s.to_string())
-  /// and shouldn't pay for building it twice.
+  /// and shouldn't pay for building it twice. On a memo miss the entry is
+  /// computed by evaluate(s, anchor); either path may own a key, since the
+  /// values are bit-identical.
   const ScheduleEvaluation& evaluate_cached(const sched::InterleavedSchedule& s,
-                                            const std::string& key);
+                                            const std::string& key,
+                                            const Anchor* anchor = nullptr);
+
+  /// Expanded per-task pattern of a base schedule, memoized on the
+  /// canonical key (s.to_string()); the pattern every Anchor on that base
+  /// carries. Reference stays valid for the evaluator's lifetime.
+  const sched::TimingPattern& timing_pattern(
+      const sched::InterleavedSchedule& s, const std::string& key);
+
+  /// Timing of \p s, derived against \p anchor in whichever WCET mode this
+  /// evaluator runs. A `move` or `rotation` goes to the descriptor
+  /// overloads below; without one, \p s is derived from scratch. In every
+  /// case \p app_unchanged (if non-null) receives one flag per app: true
+  /// iff its interval list equals the anchor pattern's. The searches call
+  /// this for their idle pre-filter, so both modes and all three neighbor
+  /// classes flow through one path.
+  /// \throws std::invalid_argument like the descriptor overloads.
+  sched::ScheduleTiming derive_neighbor_timing(
+      const sched::InterleavedSchedule& s, const Anchor& anchor,
+      std::vector<bool>* app_unchanged) const;
+
+  /// Timing of the one-task-move neighbor of \p base: binary mode takes
+  /// the incremental derive_timing_delta path verbatim; context mode
+  /// re-derives the moved sequence from scratch (a move can change
+  /// interference masks far from the edit) and recovers \p app_unchanged
+  /// by comparing interval lists against the base pattern — same flags,
+  /// same downstream reuse.
+  /// \throws std::invalid_argument like derive_timing_delta.
+  sched::ScheduleTiming derive_neighbor_timing(
+      const sched::TimingPattern& base, const sched::TaskMove& move,
+      std::vector<bool>* app_unchanged) const;
+
+  /// Same mode dispatch for the segment-swap neighbor class: binary mode
+  /// takes sched::derive_timing_rotation (the incremental block-rotation
+  /// delta), context mode re-derives the rotated sequence from scratch.
+  /// \throws std::invalid_argument like derive_timing_rotation.
+  sched::ScheduleTiming derive_neighbor_timing(
+      const sched::TimingPattern& base, const sched::BlockRotation& rot,
+      std::vector<bool>* app_unchanged) const;
 
   /// Distinct schedules evaluated through evaluate_cached().
   int schedule_evaluations() const { return static_cast<int>(schedule_memo_.size()); }
@@ -222,30 +209,39 @@ public:
   int designs_run() const noexcept { return designs_run_.load(); }
   /// Number of per-application design requests (incl. memo hits).
   int design_requests() const noexcept { return design_requests_.load(); }
-  /// Evaluations completed against a base (one-task deltas and hinted
-  /// swap fallbacks; schedule-memo misses taken by the incremental path).
+  /// Evaluations completed against an Anchor (schedule-memo misses taken
+  /// by an anchored evaluate_cached, and anchored evaluate calls).
   int neighbor_evaluations() const noexcept {
     return neighbor_evaluations_.load();
   }
-  /// AppEvaluations reused from a base evaluation without touching the
-  /// design memo (delta-proven unchanged or fingerprint match).
+  /// AppEvaluations reused from an anchor's evaluation without touching
+  /// the design memo (interval list unchanged or fingerprint match).
   int apps_reused() const noexcept { return apps_reused_.load(); }
 
 private:
+  /// One app's design through the design memo, keyed on its quantized
+  /// interval list.
   AppEvaluation evaluate_app(std::size_t app,
-                             const std::vector<sched::Interval>& intervals);
-  AppEvaluation evaluate_app_keyed(std::size_t app,
-                                   const std::vector<sched::Interval>& intervals,
-                                   std::vector<std::int64_t> key);
-  /// The serial Pall reduction shared by evaluate() and the neighbor path
-  /// (one code path = bit-identical sums).
-  void reduce_apps(ScheduleEvaluation& out, std::vector<AppEvaluation>& evs);
-  /// Mode dispatch: binary or context-sensitive timing derivation.
-  sched::ScheduleTiming derive(const sched::InterleavedSchedule& s) const;
+                             const std::vector<sched::Interval>& intervals,
+                             std::vector<std::int64_t> key);
+  /// Per-app designs + serial Pall reduction for a derived timing. With a
+  /// \p base, apps flagged in \p app_unchanged (or whose fingerprint
+  /// matches) reuse the base's AppEvaluation; without one, every app goes
+  /// through the design memo.
+  ScheduleEvaluation complete(sched::ScheduleTiming&& timing,
+                              const ScheduleEvaluation* base,
+                              const std::vector<bool>& app_unchanged);
+  /// Mode dispatch: binary or context-sensitive timing derivation of a
+  /// raw task sequence.
+  sched::ScheduleTiming derive(const std::vector<std::size_t>& seq,
+                               std::size_t num_apps) const;
+  /// derive(), then flag every app whose interval list equals \p base's:
+  /// the from-scratch form of a neighbor derivation.
+  sched::ScheduleTiming derive_compared(const std::vector<std::size_t>& seq,
+                                        std::size_t num_apps,
+                                        const sched::ScheduleTiming& base,
+                                        std::vector<bool>* app_unchanged) const;
   sched::TimingPattern expand(const sched::InterleavedSchedule& s) const;
-  ScheduleEvaluation evaluate_neighbor_from_timing(
-      const ScheduleEvaluation& base_eval, sched::ScheduleTiming&& timing,
-      const std::vector<bool>& app_unchanged);
 
   using MemoKey = std::pair<std::size_t, std::vector<std::int64_t>>;
 

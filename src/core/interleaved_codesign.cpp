@@ -165,18 +165,6 @@ std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
   return out;
 }
 
-std::vector<InterleavedSchedule> interleaved_neighbors(
-    const InterleavedSchedule& schedule, const InterleavedSearchOptions& opts) {
-  std::vector<InterleavedNeighbor> moves =
-      interleaved_neighbor_moves(schedule, opts);
-  std::vector<InterleavedSchedule> out;
-  out.reserve(moves.size());
-  for (InterleavedNeighbor& nb : moves) {
-    out.push_back(std::move(nb.schedule));
-  }
-  return out;
-}
-
 namespace {
 
 /// Published search state as a snapshot payload: per entry the canonical
@@ -213,7 +201,8 @@ std::vector<std::uint8_t> encode_interleaved_state(
 std::unordered_map<std::string, ScheduleEvaluation> decode_interleaved_state(
     const std::vector<std::uint8_t>& payload) {
   SnapshotReader r(payload);
-  const std::uint64_t count = r.get_u64();
+  // Smallest entry: empty key (8-byte length) + Pall + two flags.
+  const std::uint64_t count = r.get_count(8 + 8 + 1 + 1);
   std::unordered_map<std::string, ScheduleEvaluation> overlay;
   overlay.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -321,27 +310,25 @@ InterleavedSearchResult interleaved_search(
       break;
     }
     auto neighbors = interleaved_neighbor_moves(current, opts);
-    const sched::TimingPattern* pattern =
-        opts.incremental ? &evaluator.timing_pattern(current, current_key)
-                         : nullptr;
-    // Steepest ascent: derive each neighbor's timing, idle pre-filter it,
-    // and evaluate the survivors, all inside one batch fanned over the
-    // pool into index-addressed slots (idle-infeasible neighbors leave
-    // their slot null and never touch the schedule memo). In incremental
-    // mode delta-representable neighbors derive through the evaluator's
-    // mode dispatch — the partial delta re-derivation under binary WCETs,
-    // a from-scratch context-sensitive derivation under context WCETs —
-    // and carry the result into the evaluation so it is not re-derived.
-    // Memo hits return instantly, misses run the delta completion or the
-    // full WCET + design pipeline — high variance, hence the small
-    // chunks. The reduction below walks the slots serially in neighbor
-    // order, so the chosen move — and with it the whole accepted path —
-    // is bit-identical to the serial run AND to the from-scratch
-    // (incremental=false) run.
+    const sched::TimingPattern& pattern =
+        evaluator.timing_pattern(current, current_key);
+    // Steepest ascent: derive each neighbor's timing against an Anchor on
+    // the current schedule, idle pre-filter it, and evaluate the survivors
+    // through the schedule memo with the same Anchor, all inside one batch
+    // fanned over the pool into index-addressed slots (idle-infeasible
+    // neighbors leave their slot null and never touch the schedule memo).
+    // The Anchor routes moves and rotations through the evaluator's delta
+    // derivations (binary WCETs) and everything else through a
+    // from-scratch derivation, and lets unchanged apps reuse the current
+    // evaluations. Memo hits return instantly, misses run the anchored
+    // completion — high cost variance, which parallel_for's default
+    // chunking absorbs. The reduction below walks the slots serially in
+    // neighbor order, so the chosen move — and with it the whole accepted
+    // path — is bit-identical to the serial run.
     std::vector<const ScheduleEvaluation*> evals(neighbors.size(), nullptr);
     std::vector<std::string> keys(neighbors.size());
-    parallel_for(pool, neighbors.size(), opts.chunk, [&](std::size_t k) {
-      InterleavedNeighbor& cand = neighbors[k];
+    parallel_for(pool, neighbors.size(), 0, [&](std::size_t k) {
+      const InterleavedNeighbor& cand = neighbors[k];
       const std::string& key = keys[k] = cand.schedule.to_string();
       // Step-overlap shortcut: a neighbor evaluated in an earlier step
       // skips derivation and idle-filtering entirely (the reduction only
@@ -351,32 +338,14 @@ InterleavedSearchResult interleaved_search(
         evals[k] = it->second;
         return;
       }
-      if (pattern != nullptr && (cand.move || cand.rotation)) {
-        std::vector<bool> unchanged;
-        sched::ScheduleTiming timing =
-            cand.move ? evaluator.derive_neighbor_timing(*pattern, *cand.move,
-                                                         &unchanged)
-                      : evaluator.derive_neighbor_timing(
-                            *pattern, *cand.rotation, &unchanged);
-        if (!evaluator.idle_feasible(timing)) return;
-        evals[k] = memo.get_or_compute(key, [&] {
-          return &evaluator.evaluate_neighbor_cached(
-              current_eval, std::move(timing), unchanged, key);
-        });
+      const Anchor anchor{pattern, current_eval, cand.move, cand.rotation};
+      if (!evaluator.idle_feasible(
+              evaluator.derive_neighbor_timing(cand.schedule, anchor,
+                                               nullptr))) {
         return;
       }
-      if (!evaluator.idle_feasible(cand.schedule)) return;
-      if (pattern == nullptr) {
-        evals[k] = memo.get_or_compute(
-            key, [&] { return &evaluator.evaluate_cached(cand.schedule, key); });
-        return;
-      }
-      // Descriptor-free fallback (incremental mode; wrap-around swaps and
-      // merge-rotated removals): full timing derivation, but apps whose
-      // patterns survive the edit reuse the current evaluations
-      // (bit-identical to the plain path for any hint).
       evals[k] = memo.get_or_compute(key, [&] {
-        return &evaluator.evaluate_cached(cand.schedule, key, current_eval);
+        return &evaluator.evaluate_cached(cand.schedule, key, &anchor);
       });
     }, budget);
     if (budget != nullptr && budget->cancelled()) {

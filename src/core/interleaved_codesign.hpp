@@ -7,7 +7,7 @@
 ///        hill climb + tolerance acceptance rule.
 ///
 /// Parallel/serial contract: with a ThreadPool each step's feasible
-/// neighbor candidates are batch-evaluated through a chunked parallel_for
+/// neighbor candidates are batch-evaluated through parallel_for
 /// into index-addressed slots and reduced serially in neighbor order, and
 /// every evaluation goes through the Evaluator's sharded compute-once
 /// schedule memo — so the accepted path, best schedule, and the
@@ -32,17 +32,6 @@ struct InterleavedSearchOptions {
   int max_steps = 60;          ///< accepted moves cap
   int max_segments = 8;        ///< segment-count cap (schedule complexity)
   int max_burst = 16;          ///< per-segment count cap
-  std::size_t chunk = 0;       ///< parallel_for chunk size (0 = default);
-                               ///< candidates have high cost variance
-                               ///< (feasibility early-outs), so small
-                               ///< chunks keep workers from starving
-  /// Delta-aware neighbor evaluation: neighbors expressible as a one-task
-  /// move or a block rotation (non-wrapping segment swaps) re-derive
-  /// timing incrementally from the current schedule's pattern and reuse
-  /// its per-app evaluations where the pattern is unchanged. Bit-identical
-  /// to the from-scratch path (gtest-enforced); off = the pre-incremental
-  /// behavior, kept for differential tests and benchmarking.
-  bool incremental = true;
 
   /// Shared anytime/checkpoint knobs (see core/anytime.hpp). The snapshot
   /// stores every *published* evaluation as (canonical key, Pall,
@@ -79,26 +68,23 @@ struct InterleavedSearchResult {
 ///    left-rotated (non-wrapping segment swaps) — consumed by
 ///    derive_timing_rotation.
 /// Either descriptor reproduces the from-scratch derivation bit-for-bit;
-/// neighbors with neither (wrapping swaps) take the from-scratch path.
+/// neighbors with neither (wrapping swaps) are derived from scratch. The
+/// search hands each neighbor to the evaluator as an Anchor on the
+/// current schedule with these descriptors.
 struct InterleavedNeighbor {
   sched::InterleavedSchedule schedule;
   std::optional<sched::TaskMove> move;
   std::optional<sched::BlockRotation> rotation;
 };
 
-/// All valid one-move neighbors of an interleaved schedule:
+/// All valid one-move neighbors of an interleaved schedule, each with its
+/// delta descriptor when it has one:
 ///  * increment / decrement one segment's count,
 ///  * remove a count-1 segment (merging newly adjacent same-app segments),
 ///  * insert a new count-1 segment of any app at any gap,
 ///  * swap two cyclically adjacent segments.
 /// Only schedules passing InterleavedSchedule's own invariants are
 /// returned; the segment/burst caps prune the move set.
-std::vector<sched::InterleavedSchedule> interleaved_neighbors(
-    const sched::InterleavedSchedule& schedule,
-    const InterleavedSearchOptions& opts = {});
-
-/// Same neighbors in the same order, each with its task-move descriptor
-/// when delta-representable (the incremental search path consumes these).
 std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
     const sched::InterleavedSchedule& schedule,
     const InterleavedSearchOptions& opts = {});

@@ -138,15 +138,19 @@ std::string SnapshotReader::get_string() {
   return s;
 }
 
-std::vector<int> SnapshotReader::get_int_vector() {
+std::uint64_t SnapshotReader::get_count(std::size_t min_entry_bytes) {
   const std::uint64_t count = get_u64();
-  // Each element occupies 8 bytes; pre-check (division avoids overflow on
-  // hostile counts) so a bad count cannot drive a huge allocation before
-  // the underrun is noticed.
-  if (count > remaining() / 8) {
+  // Division, not multiplication: a hostile count cannot overflow the
+  // check before the underrun is noticed.
+  if (count > remaining() / min_entry_bytes) {
     throw SnapshotError(SnapshotErrc::truncated,
-                        "snapshot vector count exceeds remaining payload");
+                        "snapshot count exceeds remaining payload");
   }
+  return count;
+}
+
+std::vector<int> SnapshotReader::get_int_vector() {
+  const std::uint64_t count = get_count(8);
   std::vector<int> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -120,6 +120,11 @@ class SnapshotReader {
   double get_f64();
   std::string get_string();
   std::vector<int> get_int_vector();
+  /// Element count of a sequence whose entries take at least
+  /// \p min_entry_bytes each: reads a u64 and rejects it as truncated when
+  /// the remaining payload cannot hold that many entries, so a forged
+  /// count never drives a reserve() or a huge allocation.
+  std::uint64_t get_count(std::size_t min_entry_bytes);
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
   bool at_end() const noexcept { return pos_ == size_; }

@@ -26,7 +26,8 @@ std::vector<std::uint8_t> encode_evaluation_table(const EvaluationTable& table) 
 EvaluationTable decode_evaluation_table(
     const std::vector<std::uint8_t>& payload) {
   core::SnapshotReader r(payload);
-  const std::uint64_t count = r.get_u64();
+  // Smallest entry: empty point (8-byte count) + value + feasibility flag.
+  const std::uint64_t count = r.get_count(8 + 8 + 1);
   EvaluationTable table;
   table.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {

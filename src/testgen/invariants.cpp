@@ -512,27 +512,40 @@ InvariantReport check_invariants(const core::SystemModel& model,
   iopts.max_steps = 2;
   iopts.max_segments = 6;
   iopts.max_burst = 3;
-  {
-    core::Evaluator ev(model, design);
-    const std::string key = inter.to_string();
-    const core::ScheduleEvaluation& base_eval = ev.evaluate_cached(inter, key);
-    const sched::TimingPattern& pattern = ev.timing_pattern(inter, key);
-    const auto neighbors = core::interleaved_neighbor_moves(inter, iopts);
-    int checked = 0;
-    for (const core::InterleavedNeighbor& nb : neighbors) {
-      if (!nb.move || checked >= 3) continue;
-      ++checked;
-      const core::ScheduleEvaluation delta =
-          ev.evaluate_neighbor(pattern, base_eval, *nb.move);
-      const core::ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-      if (!fail.require(eval_equal(delta, scratch), "neighbor-eval",
+  const std::string inter_key = inter.to_string();
+  // Anchored evaluation vs the anchor-free reference on up to \p moves
+  // one-task-move neighbors, one block-rotation neighbor and one
+  // descriptor-free neighbor of `inter` (all three share one path).
+  const auto anchored_matches = [&](core::Evaluator& e, int moves,
+                                    const char* check) {
+    const core::ScheduleEvaluation& base_eval =
+        e.evaluate_cached(inter, inter_key);
+    const sched::TimingPattern& pattern = e.timing_pattern(inter, inter_key);
+    int left[3] = {moves, 1, 1};  // move, rotation, neither
+    for (const core::InterleavedNeighbor& nb :
+         core::interleaved_neighbor_moves(inter, iopts)) {
+      int& budget = left[nb.move ? 0 : nb.rotation ? 1 : 2];
+      if (budget == 0) continue;
+      --budget;
+      const core::Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
+      const core::ScheduleEvaluation anchored = e.evaluate(nb.schedule, &anchor);
+      const core::ScheduleEvaluation scratch = e.evaluate(nb.schedule);
+      if (!fail.require(eval_equal(anchored, scratch), check,
                         nb.schedule.to_string())) {
-        return rep;
+        return false;
       }
     }
+    return true;
+  };
+  {
+    core::Evaluator ev(model, design);
+    if (!anchored_matches(ev, 3, "neighbor-eval")) return rep;
+    const core::ScheduleEvaluation& base_eval =
+        ev.evaluate_cached(inter, inter_key);
     const int designs0 = ev.designs_run();
     const int schedules0 = ev.schedule_evaluations();
-    const core::ScheduleEvaluation& again = ev.evaluate_cached(inter, key);
+    const core::ScheduleEvaluation& again =
+        ev.evaluate_cached(inter, inter_key);
     if (!fail.require(same_bits(again.pall, base_eval.pall) &&
                           ev.designs_run() == designs0 &&
                           ev.schedule_evaluations() == schedules0 &&
@@ -543,25 +556,11 @@ InvariantReport check_invariants(const core::SystemModel& model,
     }
   }
   {
+    // One neighbor per class: context-mode designs are the pricey part.
     core::EvaluatorOptions ctx_opts;
     ctx_opts.context_wcets = true;
     core::Evaluator evc(model, design, nullptr, ctx_opts);
-    const std::string key = inter.to_string();
-    const core::ScheduleEvaluation& base_eval =
-        evc.evaluate_cached(inter, key);
-    const sched::TimingPattern& pattern = evc.timing_pattern(inter, key);
-    const auto neighbors = core::interleaved_neighbor_moves(inter, iopts);
-    for (const core::InterleavedNeighbor& nb : neighbors) {
-      if (!nb.move) continue;
-      const core::ScheduleEvaluation delta =
-          evc.evaluate_neighbor(pattern, base_eval, *nb.move);
-      const core::ScheduleEvaluation scratch = evc.evaluate(nb.schedule);
-      if (!fail.require(eval_equal(delta, scratch), "neighbor-eval-context",
-                        nb.schedule.to_string())) {
-        return rep;
-      }
-      break;  // one context-mode neighbor: scratch re-derivation is pricey
-    }
+    if (!anchored_matches(evc, 1, "neighbor-eval-context")) return rep;
   }
 
   // --------------------------------- G. serial-vs-parallel search identity

@@ -1,12 +1,13 @@
 /// \file test_incremental.cpp
 /// \brief Incremental re-evaluation tests: derive_timing_delta must be
 ///        bit-identical to from-scratch derivation over randomized move
-///        sequences, Evaluator::evaluate_neighbor bit-identical to
-///        evaluate(), the interleaved/hybrid searches bit-identical with
-///        incremental evaluation on vs. off (at 1/2/4 threads) with memo
-///        counters never exceeding the from-scratch counts, quantization
-///        rejecting degenerate intervals, and the static-WCET subtree memo
-///        differential.
+///        sequences, anchored Evaluator::evaluate(s, &anchor) bit-identical
+///        to the anchor-free evaluate(s) for every neighbor class, the
+///        interleaved search's accepted path reproducing on a fresh
+///        evaluator (at 1/2/4 threads), the delta-routed hybrid search
+///        bit-identical to the plain objective with memo counters never
+///        exceeding its counts, quantization rejecting degenerate
+///        intervals, and the static-WCET subtree memo differential.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "cache/program.hpp"
@@ -28,6 +31,7 @@
 
 namespace {
 
+using catsched::core::Anchor;
 using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::interleaved_neighbor_moves;
@@ -313,123 +317,174 @@ control::DesignOptions fast_options() {
   return o;
 }
 
-TEST(EvaluateNeighbor, BitIdenticalToFromScratchEvaluation) {
-  Evaluator ev(tiny_system(), fast_options());
-  const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
+/// tiny_system plus a third app, so segment swaps can produce valid
+/// schedules (with two apps every swap puts two same-app segments side
+/// by side).
+SystemModel three_app_system() {
+  SystemModel sys = tiny_system();
+  Application c = sys.apps[1];
+  c.name = "C";
+  c.program = cache::make_calibrated_program(
+      "C", cache::CalibratedLayout{80, std::vector<std::size_t>(12, 2), 10},
+      sys.cache_config.num_sets(), 2048);
+  c.weight = 0.2;
+  sys.apps[0].weight = 0.5;
+  sys.apps[1].weight = 0.3;
+  sys.apps.push_back(c);
+  return sys;
+}
+
+TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
+  Evaluator ev(three_app_system(), fast_options());
+  // Non-wrapping swaps of this base are rotations, the wrap-around swap
+  // has no descriptor.
+  const InterleavedSchedule base({{0, 2}, {1, 1}, {0, 1}, {1, 1}, {2, 2}}, 3);
   const std::string base_key = base.to_string();
   const ScheduleEvaluation& base_eval = ev.evaluate_cached(base, base_key);
   const TimingPattern& pattern = ev.timing_pattern(base, base_key);
 
   InterleavedSearchOptions opts;
-  opts.max_segments = 4;
+  opts.max_segments = 5;
   opts.max_burst = 4;
-  int delta_neighbors = 0;
+  int per_class[3] = {0, 0, 0};  // move, rotation, neither
   for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
-    if (!nb.move) continue;
-    ++delta_neighbors;
-    const ScheduleEvaluation via_delta =
-        ev.evaluate_neighbor(pattern, base_eval, *nb.move);
+    ++per_class[nb.move ? 0 : nb.rotation ? 1 : 2];
+    const Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
+    const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &anchor);
     ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-    ASSERT_TRUE(timing_identical(via_delta.timing, scratch.timing))
+    ASSERT_TRUE(timing_identical(anchored.timing, scratch.timing))
         << nb.schedule.to_string();
-    ASSERT_TRUE(same_bits(via_delta.pall, scratch.pall))
+    ASSERT_TRUE(same_bits(anchored.pall, scratch.pall))
         << nb.schedule.to_string();
-    ASSERT_EQ(via_delta.idle_feasible, scratch.idle_feasible);
-    ASSERT_EQ(via_delta.control_feasible, scratch.control_feasible);
-    ASSERT_EQ(via_delta.apps.size(), scratch.apps.size());
+    ASSERT_EQ(anchored.idle_feasible, scratch.idle_feasible);
+    ASSERT_EQ(anchored.control_feasible, scratch.control_feasible);
+    ASSERT_EQ(anchored.apps.size(), scratch.apps.size());
     for (std::size_t i = 0; i < scratch.apps.size(); ++i) {
       ASSERT_TRUE(
-          same_bits(via_delta.apps[i].performance, scratch.apps[i].performance));
-      ASSERT_TRUE(same_bits(via_delta.apps[i].settling_time,
+          same_bits(anchored.apps[i].performance, scratch.apps[i].performance));
+      ASSERT_TRUE(same_bits(anchored.apps[i].settling_time,
                             scratch.apps[i].settling_time));
-      ASSERT_EQ(via_delta.apps[i].feasible, scratch.apps[i].feasible);
-      ASSERT_EQ(via_delta.apps[i].pattern_key, scratch.apps[i].pattern_key);
+      ASSERT_EQ(anchored.apps[i].feasible, scratch.apps[i].feasible);
+      ASSERT_EQ(anchored.apps[i].pattern_key, scratch.apps[i].pattern_key);
     }
+    // The idle pre-filter's derivation is the one the evaluation used.
+    ASSERT_TRUE(timing_identical(
+        ev.derive_neighbor_timing(nb.schedule, anchor, nullptr),
+        scratch.timing));
   }
-  ASSERT_GT(delta_neighbors, 0);
+  // All three neighbor classes went through the anchored path.
+  EXPECT_GT(per_class[0], 0);
+  EXPECT_GT(per_class[1], 0);
+  EXPECT_GT(per_class[2], 0);
 }
 
-TEST(EvaluateNeighbor, SwapHintReusesUntouchedApps) {
+TEST(EvaluateAnchored, UnusableAnchorIsIgnored) {
+  // An anchor whose evaluation has no per-app state (a resume overlay's
+  // synthetic entry) falls back to the plain evaluation: no neighbor
+  // completion is counted and nothing is reused.
+  Evaluator ev(tiny_system(), fast_options());
+  const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
+  const InterleavedSchedule moved({{0, 3}, {1, 2}}, 2);
+  const ScheduleEvaluation synthetic;
+  const Anchor anchor{ev.timing_pattern(base, base.to_string()), synthetic,
+                      std::nullopt, std::nullopt};
+  const ScheduleEvaluation via_anchor = ev.evaluate(moved, &anchor);
+  EXPECT_EQ(ev.neighbor_evaluations(), 0);
+  EXPECT_EQ(ev.apps_reused(), 0);
+  EXPECT_TRUE(same_bits(via_anchor.pall, ev.evaluate(moved).pall));
+}
+
+TEST(EvaluateAnchored, SwapAnchorReusesUntouchedApps) {
   // Three apps so a segment swap can leave one app's pattern intact:
   // (A, B, A, B, C) -> swap the last two segments -> (A, B, A, C, B).
-  SystemModel sys = tiny_system();
-  {
-    Application c = sys.apps[1];
-    c.name = "C";
-    c.program = cache::make_calibrated_program(
-        "C", cache::CalibratedLayout{80, std::vector<std::size_t>(12, 2), 10},
-        sys.cache_config.num_sets(), 2048);
-    c.weight = 0.2;
-    sys.apps[0].weight = 0.5;
-    sys.apps[1].weight = 0.3;
-    sys.apps.push_back(c);
-  }
-  Evaluator ev(sys, fast_options());
+  Evaluator ev(three_app_system(), fast_options());
   const InterleavedSchedule base(
       {{0, 1}, {1, 1}, {0, 1}, {1, 1}, {2, 1}}, 3);
   const InterleavedSchedule swapped(
       {{0, 1}, {1, 1}, {0, 1}, {2, 1}, {1, 1}}, 3);
   const ScheduleEvaluation base_eval = ev.evaluate(base);
+  const Anchor anchor{ev.timing_pattern(base, base.to_string()), base_eval,
+                      std::nullopt, std::nullopt};
 
   ScheduleEvaluation plain = ev.evaluate(swapped);
   const int reused_before = ev.apps_reused();
-  ScheduleEvaluation hinted = ev.evaluate(swapped, base_eval);
+  ScheduleEvaluation anchored = ev.evaluate(swapped, &anchor);
   // App A (index 0) has no task in the swapped window and the window's
   // total duration is unchanged (all cold singletons), so its pattern —
   // and at worst its quantized fingerprint — survives the swap.
   EXPECT_GT(ev.apps_reused(), reused_before);
-  ASSERT_TRUE(same_bits(hinted.pall, plain.pall));
-  ASSERT_TRUE(timing_identical(hinted.timing, plain.timing));
+  ASSERT_TRUE(same_bits(anchored.pall, plain.pall));
+  ASSERT_TRUE(timing_identical(anchored.timing, plain.timing));
   for (std::size_t i = 0; i < plain.apps.size(); ++i) {
-    ASSERT_TRUE(same_bits(hinted.apps[i].performance,
+    ASSERT_TRUE(same_bits(anchored.apps[i].performance,
                           plain.apps[i].performance));
-    ASSERT_EQ(hinted.apps[i].pattern_key, plain.apps[i].pattern_key);
+    ASSERT_EQ(anchored.apps[i].pattern_key, plain.apps[i].pattern_key);
   }
 }
 
-TEST(IncrementalSearch, BitIdenticalToFromScratchAtEveryThreadCount) {
+TEST(IncrementalSearch, AcceptedPathReproducesOnFreshEvaluatorAtEveryThreadCount) {
   const auto start =
       InterleavedSchedule::from_periodic(PeriodicSchedule({1, 1}));
-  InterleavedSearchOptions scratch_opts;
-  scratch_opts.max_steps = 3;
-  scratch_opts.max_segments = 4;
-  scratch_opts.max_burst = 4;
-  scratch_opts.incremental = false;
+  InterleavedSearchOptions opts;
+  opts.max_steps = 3;
+  opts.max_segments = 4;
+  opts.max_burst = 4;
 
-  Evaluator scratch_ev(tiny_system(), fast_options());
-  const auto scratch =
-      interleaved_search(scratch_ev, start, scratch_opts);
-  ASSERT_TRUE(scratch.found);
-
+  // Anchor-free reference evaluations of every accepted schedule.
+  Evaluator fresh(tiny_system(), fast_options());
+  std::optional<catsched::core::InterleavedSearchResult> first;
+  int first_designs = 0;
+  int first_schedules = 0;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     catsched::core::ThreadPool pool(threads);
-    InterleavedSearchOptions inc_opts = scratch_opts;
-    inc_opts.incremental = true;
-    Evaluator inc_ev(tiny_system(), fast_options());
-    const auto inc = interleaved_search(inc_ev, start, inc_opts,
+    Evaluator ev(tiny_system(), fast_options());
+    const auto res = interleaved_search(ev, start, opts,
                                         threads == 1 ? nullptr : &pool);
-    ASSERT_EQ(scratch.found, inc.found) << threads << " threads";
-    EXPECT_EQ(scratch.best.to_string(), inc.best.to_string())
-        << threads << " threads";
-    EXPECT_TRUE(same_bits(scratch.best_evaluation.pall,
-                          inc.best_evaluation.pall))
-        << threads << " threads";
-    EXPECT_EQ(scratch.steps, inc.steps) << threads << " threads";
-    EXPECT_EQ(scratch.unique_evaluations, inc.unique_evaluations)
-        << threads << " threads";
-    EXPECT_EQ(scratch.path, inc.path) << threads << " threads";
-    // Same design work: the delta path must never run a design the
-    // from-scratch path memoized, and its memo counters never exceed the
-    // from-scratch counts.
-    EXPECT_EQ(scratch_ev.designs_run(), inc_ev.designs_run())
-        << threads << " threads";
-    EXPECT_LE(inc_ev.design_requests(), scratch_ev.design_requests())
-        << threads << " threads";
-    EXPECT_EQ(scratch_ev.schedule_evaluations(),
-              inc_ev.schedule_evaluations())
-        << threads << " threads";
-    EXPECT_GT(inc_ev.neighbor_evaluations(), 0) << threads << " threads";
+    ASSERT_TRUE(res.found);
+    ASSERT_FALSE(res.path.empty());
+    EXPECT_GT(ev.neighbor_evaluations(), 0);
+
+    // Replay the accepted path through the neighbor generator: each key
+    // must be a neighbor of its predecessor, memoized by the search, and
+    // bit-identical to the fresh anchor-free evaluation.
+    InterleavedSchedule cur = start;
+    ASSERT_EQ(res.path.front(), cur.to_string());
+    for (std::size_t step = 0; step < res.path.size(); ++step) {
+      if (step > 0) {
+        const auto nbs = interleaved_neighbor_moves(cur, opts);
+        const auto it = std::find_if(nbs.begin(), nbs.end(), [&](const auto& nb) {
+          return nb.schedule.to_string() == res.path[step];
+        });
+        ASSERT_NE(it, nbs.end()) << res.path[step];
+        cur = it->schedule;
+      }
+      const int memo_before = ev.schedule_evaluations();
+      const ScheduleEvaluation& searched =
+          ev.evaluate_cached(cur, res.path[step]);
+      EXPECT_EQ(ev.schedule_evaluations(), memo_before) << res.path[step];
+      const ScheduleEvaluation reference = fresh.evaluate(cur);
+      EXPECT_TRUE(same_bits(searched.pall, reference.pall)) << res.path[step];
+      EXPECT_EQ(searched.idle_feasible, reference.idle_feasible);
+      EXPECT_EQ(searched.control_feasible, reference.control_feasible);
+    }
+    const ScheduleEvaluation best = fresh.evaluate(res.best);
+    EXPECT_TRUE(same_bits(res.best_evaluation.pall, best.pall));
+    EXPECT_EQ(res.best_evaluation.feasible(), best.feasible());
+
+    if (!first) {
+      first = res;
+      first_designs = ev.designs_run();
+      first_schedules = ev.schedule_evaluations();
+      continue;
+    }
+    EXPECT_EQ(first->path, res.path);
+    EXPECT_EQ(first->best.to_string(), res.best.to_string());
+    EXPECT_EQ(first->steps, res.steps);
+    EXPECT_EQ(first->unique_evaluations, res.unique_evaluations);
+    EXPECT_EQ(first_designs, ev.designs_run());
+    EXPECT_EQ(first_schedules, ev.schedule_evaluations());
   }
 }
 

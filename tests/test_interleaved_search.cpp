@@ -2,12 +2,13 @@
 /// \brief Interleaved-schedule search tests: neighbor-move validity
 ///        (invariants preserved, caps respected), the local search on a
 ///        small synthetic system (must match or beat its periodic start),
-///        and the parallel contract — pooled runs at several chunk sizes
+///        and the parallel contract — pooled runs at several thread counts
 ///        must be bit-identical to the serial run.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/case_study.hpp"
 #include "core/interleaved_codesign.hpp"
@@ -17,7 +18,7 @@ namespace {
 
 using catsched::core::Application;
 using catsched::core::Evaluator;
-using catsched::core::interleaved_neighbors;
+using catsched::core::interleaved_neighbor_moves;
 using catsched::core::interleaved_search;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::SystemModel;
@@ -31,10 +32,11 @@ namespace linalg = catsched::linalg;
 TEST(InterleavedNeighbors, AllNeighborsSatisfyInvariants) {
   const InterleavedSchedule s({{0, 2}, {1, 1}, {0, 1}, {2, 3}}, 3);
   InterleavedSearchOptions opts;
-  const auto neighbors = interleaved_neighbors(s, opts);
+  const auto neighbors = interleaved_neighbor_moves(s, opts);
   EXPECT_FALSE(neighbors.empty());
   std::set<std::string> seen;
-  for (const auto& n : neighbors) {
+  for (const auto& nb : neighbors) {
+    const InterleavedSchedule& n = nb.schedule;
     EXPECT_EQ(n.num_apps(), 3u);
     EXPECT_LE(n.segments().size(),
               static_cast<std::size_t>(opts.max_segments));
@@ -61,9 +63,10 @@ TEST(InterleavedNeighbors, AllNeighborsSatisfyInvariants) {
 
 TEST(InterleavedNeighbors, IncludesTheKeyMoveKinds) {
   const InterleavedSchedule s({{0, 2}, {1, 1}, {2, 1}}, 3);
-  const auto neighbors = interleaved_neighbors(s, {});
   std::set<std::string> strs;
-  for (const auto& n : neighbors) strs.insert(n.to_string());
+  for (const auto& nb : interleaved_neighbor_moves(s, {})) {
+    strs.insert(nb.schedule.to_string());
+  }
   // Grow burst: (3,1,1).
   EXPECT_TRUE(strs.count(
       InterleavedSchedule({{0, 3}, {1, 1}, {2, 1}}, 3).to_string()));
@@ -79,8 +82,8 @@ TEST(InterleavedNeighbors, SegmentCapPrunesInsertions) {
   const InterleavedSchedule s({{0, 1}, {1, 1}}, 2);
   InterleavedSearchOptions tight;
   tight.max_segments = 2;
-  for (const auto& n : interleaved_neighbors(s, tight)) {
-    EXPECT_LE(n.segments().size(), 2u);
+  for (const auto& nb : interleaved_neighbor_moves(s, tight)) {
+    EXPECT_LE(nb.schedule.segments().size(), 2u);
   }
 }
 
@@ -157,30 +160,24 @@ TEST(InterleavedSearch, ParallelIsBitIdenticalToSerial) {
   const auto serial = interleaved_search(serial_ev, start, opts);
   ASSERT_TRUE(serial.found);
 
-  catsched::core::ThreadPool pool(4);
-  for (const std::size_t chunk :
-       {std::size_t{0}, std::size_t{1}, std::size_t{100}}) {
-    InterleavedSearchOptions popts = opts;
-    popts.chunk = chunk;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    catsched::core::ThreadPool pool(threads);
     Evaluator parallel_ev(tiny_system(), fast_options());
-    const auto parallel = interleaved_search(parallel_ev, start, popts, &pool);
-    ASSERT_EQ(serial.found, parallel.found) << "chunk " << chunk;
-    EXPECT_EQ(serial.best.to_string(), parallel.best.to_string())
-        << "chunk " << chunk;
-    EXPECT_EQ(serial.best_evaluation.pall, parallel.best_evaluation.pall)
-        << "chunk " << chunk;
-    EXPECT_EQ(serial.steps, parallel.steps) << "chunk " << chunk;
+    const auto parallel = interleaved_search(parallel_ev, start, opts, &pool);
+    ASSERT_EQ(serial.found, parallel.found);
+    EXPECT_EQ(serial.best.to_string(), parallel.best.to_string());
+    EXPECT_EQ(serial.best_evaluation.pall, parallel.best_evaluation.pall);
+    EXPECT_EQ(serial.steps, parallel.steps);
     // "Distinct schedules evaluated" must agree exactly, and so must the
     // whole accepted path (the serial-reduction guarantee).
-    EXPECT_EQ(serial.unique_evaluations, parallel.unique_evaluations)
-        << "chunk " << chunk;
-    EXPECT_EQ(serial.path, parallel.path) << "chunk " << chunk;
+    EXPECT_EQ(serial.unique_evaluations, parallel.unique_evaluations);
+    EXPECT_EQ(serial.path, parallel.path);
     // Same design work done: each timing pattern designed exactly once.
-    EXPECT_EQ(serial_ev.designs_run(), parallel_ev.designs_run())
-        << "chunk " << chunk;
+    EXPECT_EQ(serial_ev.designs_run(), parallel_ev.designs_run());
     EXPECT_EQ(serial_ev.schedule_evaluations(),
-              parallel_ev.schedule_evaluations())
-        << "chunk " << chunk;
+              parallel_ev.schedule_evaluations());
   }
 }
 

@@ -31,6 +31,7 @@
 
 namespace {
 
+using catsched::core::Anchor;
 using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::EvaluatorOptions;
@@ -718,9 +719,10 @@ TEST(Evaluator, ContextNeighborPathBitIdenticalToFromScratch) {
   for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
     if (!nb.move) continue;
     ++checked;
+    const Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
     std::vector<bool> unchanged;
     ScheduleTiming timing =
-        ev.derive_neighbor_timing(pattern, *nb.move, &unchanged);
+        ev.derive_neighbor_timing(nb.schedule, anchor, &unchanged);
     const ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
     ASSERT_TRUE(timing_identical(timing, scratch.timing))
         << nb.schedule.to_string();
@@ -728,12 +730,11 @@ TEST(Evaluator, ContextNeighborPathBitIdenticalToFromScratch) {
       ASSERT_EQ(unchanged[a], timing.apps[a].intervals ==
                                   pattern.timing.apps[a].intervals);
     }
-    const ScheduleEvaluation via_delta =
-        ev.evaluate_neighbor(pattern, base_eval, *nb.move);
-    ASSERT_TRUE(timing_identical(via_delta.timing, scratch.timing));
-    ASSERT_TRUE(same_bits(via_delta.pall, scratch.pall))
+    const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &anchor);
+    ASSERT_TRUE(timing_identical(anchored.timing, scratch.timing));
+    ASSERT_TRUE(same_bits(anchored.pall, scratch.pall))
         << nb.schedule.to_string();
-    ASSERT_EQ(via_delta.feasible(), scratch.feasible());
+    ASSERT_EQ(anchored.feasible(), scratch.feasible());
   }
   EXPECT_GT(checked, 0);
 }

@@ -15,8 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "core/case_study.hpp"
 #include "core/fault.hpp"
+#include "core/interleaved_codesign.hpp"
 #include "core/snapshot.hpp"
+#include "opt/discrete_search.hpp"
 
 namespace {
 
@@ -274,6 +277,60 @@ TEST(SnapshotFile, TruncatedPrimaryFallsBackToPrev) {
   EXPECT_TRUE(used_fallback);
   SnapshotReader r(payload);
   EXPECT_EQ(r.get_u64(), 7u);
+}
+
+/// Payloads whose leading entry count lies: all ones (a reserve() of it
+/// would throw std::length_error) and 2^44 (std::bad_alloc), each followed
+/// by a few bytes of entry data.
+std::vector<std::vector<std::uint8_t>> lying_count_payloads() {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const std::uint64_t count :
+       {std::numeric_limits<std::uint64_t>::max(), std::uint64_t{1} << 44}) {
+    SnapshotWriter w;
+    w.put_u64(count);
+    w.put_u64(0);
+    w.put_f64(0.5);
+    w.put_u8(1);
+    w.put_u8(1);
+    out.push_back(w.take());
+  }
+  return out;
+}
+
+TEST(SnapshotCodec, EvaluationTableLyingCountIsTruncated) {
+  for (const auto& payload : lying_count_payloads()) {
+    try {
+      catsched::opt::decode_evaluation_table(payload);
+      FAIL() << "lying entry count accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrc::truncated);
+    }
+  }
+}
+
+TEST(SnapshotCodec, InterleavedStateLyingCountIsTruncated) {
+  // The interleaved decoder is reached through a resume: the search loads
+  // the checkpoint before it runs any design.
+  namespace core = catsched::core;
+  core::Evaluator ev(core::date18_case_study(),
+                     core::date18_design_options());
+  const auto start = catsched::sched::InterleavedSchedule::from_periodic(
+      catsched::sched::PeriodicSchedule({3, 2, 3}));
+  int case_no = 0;
+  for (const auto& payload : lying_count_payloads()) {
+    TempSnapshotPath p("lying_interleaved_" + std::to_string(case_no++));
+    core::write_snapshot_file(p.str(), core::kSnapshotKindInterleaved,
+                              payload);
+    core::InterleavedSearchOptions opts;
+    opts.anytime.checkpoint_path = p.str();
+    try {
+      core::interleaved_search(ev, start, opts);
+      FAIL() << "lying entry count accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrc::truncated);
+    }
+  }
+  EXPECT_EQ(ev.designs_run(), 0);
 }
 
 }  // namespace

@@ -524,9 +524,9 @@ InvariantReport check_invariants(const core::SystemModel& model,
     int left[3] = {moves, 1, 1};  // move, rotation, neither
     for (const core::InterleavedNeighbor& nb :
          core::interleaved_neighbor_moves(inter, iopts)) {
-      int& budget = left[nb.move ? 0 : nb.rotation ? 1 : 2];
-      if (budget == 0) continue;
-      --budget;
+      int& quota = left[nb.move ? 0 : nb.rotation ? 1 : 2];
+      if (quota == 0) continue;
+      --quota;
       const core::Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
       const core::ScheduleEvaluation anchored = e.evaluate(nb.schedule, &anchor);
       const core::ScheduleEvaluation scratch = e.evaluate(nb.schedule);

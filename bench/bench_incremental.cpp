@@ -7,10 +7,9 @@
 // memo round trips are the whole cost. The loops are:
 //   from-scratch: idle_feasible (full derive_timing) + evaluate (second
 //                 derive_timing + per-app quantize/memo round trips)
-//   anchored:     what interleaved_search does per neighbor — the idle
-//                 check on derive_neighbor_timing(s, anchor) (a delta
-//                 derivation for moves and rotations, from scratch for
-//                 wrap-around swaps), then evaluate(s, &anchor), which
+//   anchored:     the idle check on derive_neighbor_timing(s, anchor) (a
+//                 delta derivation for moves and rotations, from scratch
+//                 for wrap-around swaps), then evaluate(s, &anchor), which
 //                 derives the same way again and reuses the base's
 //                 evaluations for apps whose patterns survive the edit.
 // Steps are measured at several base schedules along the case study's

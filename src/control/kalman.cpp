@@ -114,10 +114,21 @@ NoisySimResult simulate_noisy_regulation(
     throw std::invalid_argument(
         "simulate_noisy_regulation: phase/gain count mismatch");
   }
+  if (!(opts.process_std >= 0.0) || !(opts.measurement_std >= 0.0)) {
+    throw std::invalid_argument(
+        "simulate_noisy_regulation: negative noise sigma");
+  }
   const std::size_t l = phases[0].ad.rows();
   std::mt19937 rng(opts.seed);
-  std::normal_distribution<double> w(0.0, opts.process_std);
-  std::normal_distribution<double> v(0.0, opts.measurement_std);
+  // Unit normals scaled by sigma draw exactly what N(0, sigma) would; a
+  // zero sigma draws nothing (a zero-stddev normal_distribution violates
+  // its precondition).
+  std::normal_distribution<double> w(0.0, 1.0);
+  std::normal_distribution<double> v(0.0, 1.0);
+  const auto noise_of = [&rng](std::normal_distribution<double>& unit,
+                               double sigma) {
+    return sigma == 0.0 ? 0.0 : unit(rng) * sigma;
+  };
   std::normal_distribution<double> x0(0.0, 1.0);
 
   Matrix x(l, 1);
@@ -130,7 +141,7 @@ NoisySimResult simulate_noisy_regulation(
   double sum_y2 = 0.0;
   std::size_t j = 0;
   for (std::size_t k = 0; k < opts.steps; ++k) {
-    const double y = (c * x)(0, 0) + v(rng);
+    const double y = (c * x)(0, 0) + noise_of(v, opts.measurement_std);
     const double u = (state_feedback[j] * xhat)(0, 0);
     const double innovation = y - (c * xhat)(0, 0);
 
@@ -146,7 +157,9 @@ NoisySimResult simulate_noisy_regulation(
     sum_y2 += y_clean * y_clean;
 
     Matrix noise(l, 1);
-    for (std::size_t i = 0; i < l; ++i) noise(i, 0) = w(rng);
+    for (std::size_t i = 0; i < l; ++i) {
+      noise(i, 0) = noise_of(w, opts.process_std);
+    }
     const Matrix x_next = phases[j].ad * x + phases[j].b1 * u_prev +
                           phases[j].b2 * u + noise;
     xhat = phases[j].ad * xhat + phases[j].b1 * u_prev + phases[j].b2 * u +

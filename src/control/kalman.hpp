@@ -69,8 +69,9 @@ struct NoisySimResult {
 
 /// Regulation (r = 0) from a random initial state; reports estimation and
 /// output RMS errors. Used to compare Kalman vs Luenberger gains under
-/// noise: pass either gain set.
-/// \throws std::invalid_argument on count/dimension mismatch.
+/// noise: pass either gain set. A zero sigma turns its noise channel off.
+/// \throws std::invalid_argument on count/dimension mismatch or a negative
+///         (or NaN) noise sigma.
 NoisySimResult simulate_noisy_regulation(
     const std::vector<PhaseDynamics>& phases, const Matrix& c,
     const std::vector<Matrix>& state_feedback,  ///< per-phase K (u = K xhat)

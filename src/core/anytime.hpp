@@ -4,12 +4,12 @@
 ///        supports cooperative budgets and checkpoint/resume embeds ONE
 ///        `AnytimeOptions` (instead of four hand-copied knobs) and reports
 ///        through ONE `RunTelemetry` (instead of four drifting result
-///        fields). The semantics — budget quantization to step boundaries,
-///        resume-by-replay through a journal or published-state overlay —
-///        are defined by the engines (opt/discrete_search,
-///        core/interleaved_codesign, opt/portfolio); this header only pins
-///        the common shape so drivers, benches and tools handle every
-///        engine uniformly.
+///        fields). The semantics — budget quantization to round
+///        boundaries, resume-by-replay through the EvalCache journal — are
+///        defined by the engines (opt::race in opt/portfolio, and
+///        exhaustive_search's block scan in opt/discrete_search); this
+///        header only pins the common shape so drivers, benches and tools
+///        handle every engine uniformly.
 
 #include <string>
 
@@ -31,12 +31,10 @@ struct AnytimeOptions {
   /// run_budget.hpp). Null = no budget.
   RunBudget* budget = nullptr;
   /// Checkpoint file: empty = off. An existing file is resumed from
-  /// automatically by the engines that own their persistent state
-  /// (multistart/exhaustive/portfolio via the EvalCache journal, the
-  /// interleaved search via its published-state overlay).
+  /// automatically by the engines that own their EvalCache (multistart,
+  /// exhaustive, portfolio and the interleaved search).
   std::string checkpoint_path;
-  /// New completed evaluations (or accepted steps, for the interleaved
-  /// engine) between snapshots.
+  /// New completed evaluations between snapshots.
   int checkpoint_every = 16;
   FaultPlan* fault = nullptr;  ///< snapshot corruption hook (tests)
 };

@@ -148,7 +148,8 @@ public:
   /// round trip. Bit-identical to the anchor-free evaluation for any
   /// anchor that describes its own base consistently (gtest-enforced
   /// differentially); an anchor whose app count does not match the model
-  /// (e.g. a resume overlay's synthetic evaluation) is ignored.
+  /// (e.g. a default-constructed evaluation with no per-app state) is
+  /// ignored.
   ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s,
                               const Anchor* anchor = nullptr);
 

@@ -1,15 +1,13 @@
 #include "core/interleaved_codesign.hpp"
 
-#include <algorithm>
-#include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/snapshot.hpp"
+#include "opt/portfolio.hpp"
 
 namespace catsched::core {
 
@@ -167,54 +165,151 @@ std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
 
 namespace {
 
-/// Published search state as a snapshot payload: per entry the canonical
-/// key, the Pall bits, and the two feasibility flags — exactly what the
-/// serial reduction reads, so a resumed run can consume the entry without
-/// re-running its controller designs.
-std::vector<std::uint8_t> encode_interleaved_state(
-    const std::unordered_map<std::string, const ScheduleEvaluation*>& seen) {
-  SnapshotWriter w;
-  w.put_u64(seen.size());
-  // Emit in sorted key order: the payload bytes must not depend on the
-  // hash map's (implementation-defined) iteration order, so identical
-  // search states always produce identical snapshot files.
-  std::vector<const std::string*> keys;
-  keys.reserve(seen.size());
-  for (const auto& entry : seen)  // determinism-ok: sorted below
-    keys.push_back(&entry.first);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  for (const std::string* key : keys) {
-    const ScheduleEvaluation* eval = seen.at(*key);
-    w.put_string(*key);
-    w.put_f64(eval->pall);
-    w.put_u8(eval->idle_feasible ? 1 : 0);
-    w.put_u8(eval->control_feasible ? 1 : 0);
+/// A schedule as a race point: [app0, count0, app1, count1, ...]. The
+/// segments are stored as given, so two schedules share a point exactly
+/// when they share a canonical key (to_string()).
+std::vector<int> encode(const InterleavedSchedule& s) {
+  std::vector<int> p;
+  p.reserve(2 * s.segments().size());
+  for (const Segment& seg : s.segments()) {
+    p.push_back(static_cast<int>(seg.app));
+    p.push_back(seg.count);
   }
-  return w.take();
+  return p;
 }
 
-/// Inverse of encode_interleaved_state. The reconstructed evaluations are
-/// *synthetic*: apps stays empty (the marker the search upgrades on), but
-/// pall and the feasibility bits round-trip bit-exactly — all the
-/// reduction ever compares.
-std::unordered_map<std::string, ScheduleEvaluation> decode_interleaved_state(
-    const std::vector<std::uint8_t>& payload) {
-  SnapshotReader r(payload);
-  // Smallest entry: empty key (8-byte length) + Pall + two flags.
-  const std::uint64_t count = r.get_count(8 + 8 + 1 + 1);
-  std::unordered_map<std::string, ScheduleEvaluation> overlay;
-  overlay.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string key = r.get_string();
-    ScheduleEvaluation ev;
-    ev.pall = r.get_f64();
-    ev.idle_feasible = r.get_u8() != 0;
-    ev.control_feasible = r.get_u8() != 0;
-    overlay.emplace(std::move(key), std::move(ev));
+InterleavedSchedule decode(const std::vector<int>& p, std::size_t num_apps) {
+  std::vector<Segment> segs;
+  segs.reserve(p.size() / 2);
+  for (std::size_t i = 0; i + 1 < p.size(); i += 2) {
+    segs.push_back(Segment{static_cast<std::size_t>(p[i]), p[i + 1]});
   }
-  return overlay;
+  return InterleavedSchedule(std::move(segs), num_apps);
 }
+
+/// The plain objective: the schedule's memoized full evaluation.
+opt::DiscreteObjective make_interleaved_objective(Evaluator& evaluator,
+                                                  std::size_t num_apps) {
+  return [&evaluator, num_apps](const std::vector<int>& p) {
+    const InterleavedSchedule s = decode(p, num_apps);
+    const ScheduleEvaluation& ev = evaluator.evaluate_cached(s, s.to_string());
+    return opt::EvalOutcome{ev.pall, ev.feasible()};
+  };
+}
+
+/// The anchored objective: evaluates \p point against an Anchor on
+/// \p base, with the delta descriptor interleaved_neighbor_moves gives the
+/// point (none when it is not a listed neighbor — still bit-identical, the
+/// anchor then only lends its per-app reuse).
+opt::NeighborObjective make_interleaved_neighbor_objective(
+    Evaluator& evaluator, std::size_t num_apps,
+    const InterleavedSearchOptions& opts) {
+  return [&evaluator, num_apps, opts](const std::vector<int>& base,
+                                      const std::vector<int>& point) {
+    const InterleavedSchedule base_schedule = decode(base, num_apps);
+    const InterleavedSchedule s = decode(point, num_apps);
+    std::optional<TaskMove> move;
+    std::optional<sched::BlockRotation> rotation;
+    for (InterleavedNeighbor& nb :
+         interleaved_neighbor_moves(base_schedule, opts)) {
+      if (nb.schedule == s) {
+        move = std::move(nb.move);
+        rotation = std::move(nb.rotation);
+        break;
+      }
+    }
+    const std::string base_key = base_schedule.to_string();
+    const Anchor anchor{evaluator.timing_pattern(base_schedule, base_key),
+                        evaluator.evaluate_cached(base_schedule, base_key),
+                        std::move(move), std::move(rotation)};
+    const ScheduleEvaluation& ev =
+        evaluator.evaluate_cached(s, s.to_string(), &anchor);
+    return opt::EvalOutcome{ev.pall, ev.feasible()};
+  };
+}
+
+/// Steepest ascent over the segment space: round 0 proposes the start,
+/// every later round the idle-feasible neighbors of the current schedule
+/// in generation order, anchored at it. The first feasible neighbor with
+/// the highest Pall is accepted while it loses at most `tolerance`; a
+/// non-improving move ends the walk when the tolerance is 0. `best` only
+/// ever sees accepted schedules, so it is the best point on the path.
+class InterleavedDriver final : public opt::SearchDriver {
+ public:
+  InterleavedDriver(const Evaluator& evaluator, InterleavedSchedule start,
+                    const InterleavedSearchOptions& opts)
+      : SearchDriver("interleaved"),
+        evaluator_(evaluator),
+        opts_(opts),
+        cur_(std::move(start)),
+        cur_point_(encode(cur_)) {}
+
+  const std::vector<int>* anchor() const override {
+    return seeded_ ? &cur_point_ : nullptr;
+  }
+
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const opt::EvalOutcome*>& outcomes) override {
+    if (!seeded_) {
+      cur_out_ = *outcomes[0];
+      note(cur_point_, cur_out_);
+      path_.push_back(cur_.to_string());
+      seeded_ = true;
+      return;
+    }
+    std::size_t next = points.size();
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      if (!outcomes[k]->feasible) continue;
+      if (next == points.size() || outcomes[k]->value > outcomes[next]->value) {
+        next = k;
+      }
+    }
+    if (next == points.size()) {  // no feasible neighbor
+      finish();
+      return;
+    }
+    const double gain = outcomes[next]->value - cur_out_.value;
+    if (gain <= 0.0 &&
+        (-gain > opts_.tolerance || points[next] == cur_point_)) {
+      finish();  // local optimum, or the best move leads back here
+      return;
+    }
+    cur_ = decode(points[next], cur_.num_apps());
+    cur_point_ = points[next];
+    cur_out_ = *outcomes[next];
+    note(cur_point_, cur_out_);
+    path_.push_back(cur_.to_string());
+    ++steps_;
+    if (gain <= 0.0 && opts_.tolerance == 0.0) finish();
+  }
+
+  const std::vector<std::string>& path() const { return path_; }
+  int steps() const { return steps_; }
+
+ protected:
+  std::vector<std::vector<int>> propose() override {
+    if (!seeded_) return {cur_point_};
+    if (steps_ >= opts_.max_steps) return {};
+    std::vector<std::vector<int>> batch;
+    for (const InterleavedNeighbor& nb :
+         interleaved_neighbor_moves(cur_, opts_)) {
+      if (evaluator_.idle_feasible(nb.schedule)) {
+        batch.push_back(encode(nb.schedule));
+      }
+    }
+    return batch;  // empty = no idle-feasible neighbor: converged
+  }
+
+ private:
+  const Evaluator& evaluator_;
+  InterleavedSearchOptions opts_;
+  InterleavedSchedule cur_;
+  std::vector<int> cur_point_;
+  opt::EvalOutcome cur_out_;
+  bool seeded_ = false;
+  int steps_ = 0;
+  std::vector<std::string> path_;
+};
 
 }  // namespace
 
@@ -225,196 +320,34 @@ InterleavedSearchResult interleaved_search(
     throw std::invalid_argument(
         "interleaved_search: start violates the idle-time constraint");
   }
-
+  const std::size_t num_apps = start.num_apps();
+  opt::EvalCache cache(make_interleaved_objective(evaluator, num_apps),
+                       make_interleaved_neighbor_objective(evaluator, num_apps,
+                                                           opts));
   InterleavedSearchResult res;
-  RunBudget* budget = opts.anytime.budget;
-  if (budget != nullptr && budget->cancelled()) {
-    res.telemetry.stop = budget->reason();
-    return res;
+  if (!opts.anytime.checkpoint_path.empty()) {
+    cache.enable_checkpoints(opts.anytime.checkpoint_path,
+                             opts.anytime.checkpoint_every, opts.anytime.fault);
+    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
   }
-
-  // Resume: preload the previous process's published evaluations. They
-  // enter `seen` below as overlay values owned here — the batch shortcut
-  // serves them without touching the evaluator, so replaying the search
-  // fast-forwards to the kill point at reduction speed.
-  std::unordered_map<std::string, ScheduleEvaluation> overlay;
-  if (!opts.anytime.checkpoint_path.empty() &&
-      snapshot_exists(opts.anytime.checkpoint_path)) {
-    overlay = decode_interleaved_state(
-        load_snapshot_file(opts.anytime.checkpoint_path,
-                           kSnapshotKindInterleaved,
-                           &res.telemetry.used_fallback));
-    res.telemetry.resumed = true;
-  }
-  // Dedup on the canonical string so re-visits cost nothing and the
-  // evaluation count matches "distinct schedules evaluated" for THIS
-  // search. The values point into the evaluator's own schedule memo, so
-  // patterns shared with other searches (or earlier steps) are still
-  // computed only once process-wide. Both maps are sharded compute-once
-  // structures, so concurrent batch evaluation below needs no extra locks.
-  ConcurrentMemoMap<std::string, const ScheduleEvaluation*> memo;
-  const auto evaluate =
-      [&](const InterleavedSchedule& s) -> const ScheduleEvaluation& {
-    const std::string key = s.to_string();
-    return *memo.get_or_compute(
-        key, [&] { return &evaluator.evaluate_cached(s, key); });
-  };
-
-  // Schedules already evaluated in earlier steps, keyed by canonical
-  // string: neighborhoods of consecutive steps overlap heavily, and a
-  // re-visited neighbor needs no timing derivation at all — only the
-  // finished evaluation for the reduction. Mutated ONLY between batches
-  // (serial), read-only inside them, so the batch needs no locks; values
-  // point into the evaluator's schedule memo (valid for its lifetime) or
-  // into the resume overlay above (owned by this frame, never mutated).
-  std::unordered_map<std::string, const ScheduleEvaluation*> seen;
-  seen.reserve(overlay.size());
-  for (const auto& [key, eval] : overlay)  // determinism-ok: order-free copy
-    seen.emplace(key, &eval);
-
-  // Snapshots are written at the serial publish points only (so a
-  // checkpoint never contains a half-published batch), every
-  // opts.checkpoint_every iterations and once more on exit; unchanged
-  // state is never rewritten.
-  std::size_t saved_seen_size = seen.size();
-  const auto save_checkpoint = [&] {
-    if (opts.anytime.checkpoint_path.empty() ||
-        seen.size() == saved_seen_size) {
-      return;
-    }
-    write_snapshot_file(opts.anytime.checkpoint_path, kSnapshotKindInterleaved,
-                        encode_interleaved_state(seen), opts.anytime.fault);
-    saved_seen_size = seen.size();
-    ++res.telemetry.checkpoints_written;
-  };
-
-  InterleavedSchedule current = start;
-  std::string current_key = current.to_string();
-  ScheduleEvaluation current_eval = evaluate(current);
-  seen.emplace(current_key, &evaluator.evaluate_cached(current, current_key));
-  res.path.push_back(current_key);
-  if (current_eval.feasible()) {
-    res.best = current;
-    res.best_evaluation = current_eval;
+  std::vector<std::unique_ptr<opt::SearchDriver>> lane;
+  lane.push_back(std::make_unique<InterleavedDriver>(evaluator, start, opts));
+  // Round 0 evaluates the start, round k the neighborhood of step k.
+  const opt::PortfolioResult race_res = opt::race(
+      lane, cache, opts.max_steps + 1, 0, opts.anytime.budget, pool);
+  const auto& driver = static_cast<const InterleavedDriver&>(*lane.front());
+  if (driver.found_feasible()) {
     res.found = true;
+    res.best = decode(driver.best(), num_apps);
+    // A memo hit unless a resume served the best point from the journal.
+    res.best_evaluation = evaluator.evaluate_cached(res.best);
   }
-
-  int last_saved_step = 0;
-  for (int step = 0; step < opts.max_steps; ++step) {
-    // Anytime check, quantized to the step boundary: stop-flag and
-    // evaluation-cap trips land here deterministically (evaluations are
-    // noted only when a completed batch publishes), so a run cut short
-    // after k accepted steps matches a max_steps = k run bit for bit.
-    if (budget != nullptr && budget->cancelled()) {
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    auto neighbors = interleaved_neighbor_moves(current, opts);
-    const sched::TimingPattern& pattern =
-        evaluator.timing_pattern(current, current_key);
-    // Steepest ascent: derive each neighbor's timing against an Anchor on
-    // the current schedule, idle pre-filter it, and evaluate the survivors
-    // through the schedule memo with the same Anchor, all inside one batch
-    // fanned over the pool into index-addressed slots (idle-infeasible
-    // neighbors leave their slot null and never touch the schedule memo).
-    // The Anchor routes moves and rotations through the evaluator's delta
-    // derivations (binary WCETs) and everything else through a
-    // from-scratch derivation, and lets unchanged apps reuse the current
-    // evaluations. Memo hits return instantly, misses run the anchored
-    // completion — high cost variance, which parallel_for's default
-    // chunking absorbs. The reduction below walks the slots serially in
-    // neighbor order, so the chosen move — and with it the whole accepted
-    // path — is bit-identical to the serial run.
-    std::vector<const ScheduleEvaluation*> evals(neighbors.size(), nullptr);
-    std::vector<std::string> keys(neighbors.size());
-    parallel_for(pool, neighbors.size(), 0, [&](std::size_t k) {
-      const InterleavedNeighbor& cand = neighbors[k];
-      const std::string& key = keys[k] = cand.schedule.to_string();
-      // Step-overlap shortcut: a neighbor evaluated in an earlier step
-      // skips derivation and idle-filtering entirely (the reduction only
-      // consults eval.feasible(); idle-infeasible schedules never made it
-      // into `seen`, so they re-derive and re-filter — same outcome).
-      if (const auto it = seen.find(key); it != seen.end()) {
-        evals[k] = it->second;
-        return;
-      }
-      const Anchor anchor{pattern, current_eval, cand.move, cand.rotation};
-      if (!evaluator.idle_feasible(
-              evaluator.derive_neighbor_timing(cand.schedule, anchor,
-                                               nullptr))) {
-        return;
-      }
-      evals[k] = memo.get_or_compute(key, [&] {
-        return &evaluator.evaluate_cached(cand.schedule, key, &anchor);
-      });
-    }, budget);
-    if (budget != nullptr && budget->cancelled()) {
-      // A deadline (or external stop) fired mid-batch: slots are only
-      // partially filled. Discard the batch without publishing — finished
-      // evaluations stay in the evaluator's memo, but the returned state
-      // is exactly the last completed step's.
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    // Serial (between batches): publish this step's evaluations for the
-    // next step's shortcut.
-    std::size_t published = 0;
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (evals[k] != nullptr &&
-          seen.emplace(std::move(keys[k]), evals[k]).second) {
-        ++published;
-      }
-    }
-    if (budget != nullptr) {
-      budget->note_evaluations(static_cast<std::uint64_t>(published));
-    }
-    if (step - last_saved_step >= opts.anytime.checkpoint_every) {
-      save_checkpoint();
-      last_saved_step = step;
-    }
-    const InterleavedSchedule* next = nullptr;
-    ScheduleEvaluation next_eval;
-    for (std::size_t k = 0; k < neighbors.size(); ++k) {
-      if (evals[k] == nullptr) continue;  // idle-infeasible
-      const ScheduleEvaluation& eval = *evals[k];
-      if (!eval.feasible()) continue;
-      if (next == nullptr || eval.pall > next_eval.pall) {
-        next = &neighbors[k].schedule;
-        next_eval = eval;
-      }
-    }
-    if (next == nullptr) break;
-    const double gain = next_eval.pall - current_eval.pall;
-    if (gain <= 0.0 && -gain > opts.tolerance) break;  // local optimum
-    if (gain <= 0.0 && next->to_string() == current_key) break;
-    current = *next;
-    current_key = current.to_string();
-    current_eval = next_eval;
-    if (current_eval.apps.empty()) {
-      // The accepted neighbor was served by the resume overlay (synthetic:
-      // Pall + feasibility only). The next step's delta evaluations anchor
-      // on the current schedule's full per-app state, so upgrade it here —
-      // a deterministic re-evaluation that cannot change the accepted path
-      // (the overlay's Pall bits are exact).
-      current_eval = evaluator.evaluate_cached(current, current_key);
-    }
-    res.path.push_back(current_key);
-    ++res.steps;
-    if (current_eval.feasible() &&
-        (!res.found || current_eval.pall > res.best_evaluation.pall)) {
-      res.best = current;
-      res.best_evaluation = current_eval;
-      res.found = true;
-    }
-    if (gain <= 0.0 && opts.tolerance == 0.0) break;
-  }
-  save_checkpoint();
-  // Published entries, not memo.size(): the memo can hold a discarded
-  // partial batch (mid-batch cancellation) and misses overlay-served
-  // entries on a resume — `seen` is the same set on every path, so the
-  // count is bit-identical between a fresh run, a cut-short run at the
-  // same step, and a resumed run at completion.
-  res.unique_evaluations = static_cast<int>(seen.size());
+  res.steps = driver.steps();
+  res.path = driver.path();
+  res.unique_evaluations = cache.unique_evaluations();
+  res.telemetry.stop = race_res.telemetry.stop;
+  cache.save_checkpoint();
+  res.telemetry.checkpoints_written = cache.checkpoints_written();
   return res;
 }
 

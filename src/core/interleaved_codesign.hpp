@@ -6,13 +6,14 @@
 ///        by the same expensive evaluation as the periodic search, with a
 ///        hill climb + tolerance acceptance rule.
 ///
-/// Parallel/serial contract: with a ThreadPool each step's feasible
-/// neighbor candidates are batch-evaluated through parallel_for
-/// into index-addressed slots and reduced serially in neighbor order, and
-/// every evaluation goes through the Evaluator's sharded compute-once
-/// schedule memo — so the accepted path, best schedule, and the
-/// distinct-evaluation count are bit-identical to the serial run (enforced
-/// by test_interleaved_search). The pool is opt-in; the default (nullptr)
+/// The search is one driver raced alone by opt::race (opt/portfolio.hpp)
+/// on an EvalCache it owns, exactly like a lone hybrid walk: a schedule is
+/// the integer point [app0, count0, app1, count1, ...], each round's
+/// idle-feasible neighbors are evaluated in one pooled fan-out anchored at
+/// the current schedule, and the step decision is serial. The accepted
+/// path, best schedule and distinct-evaluation count are therefore
+/// bit-identical at every thread count (enforced by
+/// test_interleaved_search). The pool is opt-in; the default (nullptr)
 /// evaluates serially, exactly like core/codesign.
 
 #include <optional>
@@ -21,8 +22,6 @@
 
 #include "core/anytime.hpp"
 #include "core/evaluator.hpp"
-#include "core/fault.hpp"
-#include "core/run_budget.hpp"
 
 namespace catsched::core {
 
@@ -33,16 +32,11 @@ struct InterleavedSearchOptions {
   int max_segments = 8;        ///< segment-count cap (schedule complexity)
   int max_burst = 16;          ///< per-segment count cap
 
-  /// Shared anytime/checkpoint knobs (see core/anytime.hpp). The snapshot
-  /// stores every *published* evaluation as (canonical key, Pall,
-  /// feasibility bits); an existing file is resumed from automatically:
-  /// published entries are preloaded as lightweight overlay evaluations,
-  /// so the replayed search fast-forwards through them and only re-runs
-  /// the controller designs of schedules it actually accepts — converging
-  /// to the bit-identical final result of an uninterrupted run (see
-  /// tests/test_anytime.cpp). checkpoint_every here counts accepted steps
-  /// between snapshots, not evaluations (hence the tighter default).
-  AnytimeOptions anytime{nullptr, {}, 4, nullptr};
+  /// Shared anytime/checkpoint knobs (see core/anytime.hpp): the budget
+  /// counts every evaluation the race charges, the start's included; the
+  /// checkpoint path arms the cache's evaluation-table journal and resumes
+  /// from an existing file by replay (see tests/test_anytime.cpp).
+  AnytimeOptions anytime;
 };
 
 /// Outcome of the interleaved search.
@@ -51,8 +45,9 @@ struct InterleavedSearchResult {
   ScheduleEvaluation best_evaluation;
   bool found = false;
   int steps = 0;
-  /// Distinct schedules in the published search state (see the
-  /// evaluation-count naming scheme in opt/discrete_search.hpp).
+  /// Distinct schedules in the search's cache at return, resumed entries
+  /// included (see the evaluation-count naming scheme in
+  /// opt/discrete_search.hpp).
   int unique_evaluations = 0;
   std::vector<std::string> path;  ///< accepted schedules, start first
   /// Anytime/checkpoint observability (defaults = nothing fired).
@@ -91,9 +86,13 @@ std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
 
 /// Steepest-ascent local search from \p start over interleaved schedules,
 /// evaluating through \p evaluator (idle-infeasible neighbors are skipped
-/// before any controller design runs). With a \p pool, each step's
-/// feasible neighbors are evaluated concurrently and reduced serially —
-/// bit-identical results to the serial run (see the file header).
+/// before any controller design runs). Round 0 evaluates the start, round
+/// k the neighborhood of step k; the first feasible neighbor with the
+/// highest Pall is accepted while it loses at most `tolerance`. With a
+/// \p pool, each round's neighbors are evaluated concurrently —
+/// bit-identical results to the serial run (see the file header). A budget
+/// cut in mid-round discards the round; its finished evaluations stay in
+/// the cache and in `unique_evaluations`.
 /// \throws std::invalid_argument if start is idle-infeasible.
 InterleavedSearchResult interleaved_search(
     Evaluator& evaluator, const sched::InterleavedSchedule& start,

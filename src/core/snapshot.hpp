@@ -47,11 +47,11 @@ namespace catsched::core {
 /// reader rejects other versions (no silent migration).
 inline constexpr std::uint32_t kSnapshotVersion = 1;
 
-/// Payload-kind registry. Each checkpointing subsystem owns one constant;
-/// the reader rejects a kind mismatch so e.g. an interleaved checkpoint
-/// can never be fed to a hybrid resume.
+/// Payload-kind registry. Each payload format owns one constant; the
+/// reader rejects a kind mismatch. Every search checkpoints through the
+/// EvalCache journal (kind 1). Never reuse kind 2: files of a retired
+/// interleaved-search format carry it and must keep failing as bad_kind.
 inline constexpr std::uint32_t kSnapshotKindEvaluationTable = 1;
-inline constexpr std::uint32_t kSnapshotKindInterleaved = 2;
 
 /// What exactly a snapshot read rejected.
 enum class SnapshotErrc : std::uint8_t {

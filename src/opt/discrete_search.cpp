@@ -151,11 +151,6 @@ void EvalCache::save_checkpoint() {
   save_locked();
 }
 
-EvaluationTable EvalCache::dump_table() const {
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  return journal_;
-}
-
 int EvalCache::checkpoints_written() const {
   std::lock_guard<std::mutex> lock(journal_mu_);
   return writes_;

@@ -41,7 +41,8 @@ struct EvalOutcome {
 using DiscreteObjective = std::function<EvalOutcome(const std::vector<int>&)>;
 
 /// Optional delta-aware objective: evaluate `point` as a neighbor of
-/// `base` (the searches only pass single-dimension +-1 moves). MUST return
+/// `base` (the hybrid lanes pass single-dimension +-1 moves, the
+/// interleaved search its segment moves). MUST return
 /// a result bit-identical to the plain objective on `point` — the memo
 /// stores whichever path computed a point first, so any divergence would
 /// leak across runs. Implementations fall back internally when the pair is
@@ -130,30 +131,24 @@ public:
   /// before the search starts; enabling twice keeps the first config.
   void enable_checkpoints(std::string path, int every,
                           core::FaultPlan* fault = nullptr);
-  bool checkpoints_enabled() const { return !path_.empty(); }
 
   /// Load \p path (or its .prev fallback) and preload the table. Returns
   /// false when no checkpoint exists yet; rethrows core::SnapshotError
   /// when both the primary and the fallback are damaged.
   bool try_resume(bool* used_fallback = nullptr);
 
-  /// Insert already-known outcomes (a loaded checkpoint, a peer's table).
-  /// Points already present keep their value; new ones enter the journal.
-  void preload(const EvaluationTable& table);
-
   /// Unconditional snapshot of the journal (no-op when checkpointing is
   /// off or nothing changed since the last write). The searches call this
   /// on exit so the final state is always on disk.
   void save_checkpoint();
 
-  /// Copy of the completed-evaluation journal (only finished entries —
-  /// safe to call while a batch is in flight).
-  EvaluationTable dump_table() const;
-
   /// Snapshot files written so far (observability for tests/benches).
   int checkpoints_written() const;
 
 private:
+  /// Insert a loaded checkpoint's outcomes. Points already present keep
+  /// their value; new ones enter the journal as already saved.
+  void preload(const EvaluationTable& table);
   /// Journal a completed evaluation; auto-saves when the cadence is due.
   void record(const std::vector<int>& p, const EvalOutcome& out);
   void save_locked();  ///< requires journal_mu_ held

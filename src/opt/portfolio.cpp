@@ -133,7 +133,7 @@ PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
     // Observe (serial, fixed order), fold incumbents, retire.
     for (RoundEntry& e : entries) {
       SearchDriver& d = *roster[e.idx];
-      d.observe_batch(e.points, e.outcomes);
+      d.observe(e.points, e.outcomes);
       ++res.strategies[e.idx].rounds;
       if (d.found_feasible() &&
           (!res.found_feasible || d.best_value() > res.best_value)) {

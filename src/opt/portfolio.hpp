@@ -8,9 +8,10 @@
 ///        all the others — the paper's "a schedule costs once" accounting
 ///        (Sec. IV) extended across heterogeneous strategies.
 ///
-/// The race itself is opt::race, the one round loop the integer-vector
-/// searches run on (hybrid_search and multi-start race hybrid lanes only;
-/// exhaustive_search's block scan is the one exception). Round protocol
+/// The race itself is opt::race, the one round loop every step-wise search
+/// runs on: hybrid_search and multi-start race hybrid lanes only, and
+/// core::interleaved_search races its segment-space driver alone
+/// (exhaustive_search's block scan is the one exception). Round protocol
 /// (every driver-side step serial, in fixed roster order):
 ///   1. every live driver proposes a batch;
 ///   2. ONE pooled fan-out evaluates all proposals of the round through

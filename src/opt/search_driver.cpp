@@ -23,12 +23,6 @@ std::vector<std::vector<int>> SearchDriver::propose_batch() {
   return batch;
 }
 
-void SearchDriver::observe_batch(
-    const std::vector<std::vector<int>>& points,
-    const std::vector<const EvalOutcome*>& outcomes) {
-  observe(points, outcomes);
-}
-
 void SearchDriver::note(const std::vector<int>& point,
                         const EvalOutcome& out) {
   if (out.feasible && (!found_ || out.value > best_value_)) {
@@ -225,6 +219,7 @@ class BeamDriver final : public SearchDriver {
     return batch;  // empty = frontier exhausted: converged
   }
 
+ public:
   void observe(const std::vector<std::vector<int>>& points,
                const std::vector<const EvalOutcome*>& outcomes) override {
     if (!seeded_) {
@@ -316,6 +311,7 @@ class AnnealDriver final : public SearchDriver {
     return batch;  // empty = every resample failed: treat as converged
   }
 
+ public:
   void observe(const std::vector<std::vector<int>>& points,
                const std::vector<const EvalOutcome*>& outcomes) override {
     if (!seeded_) {
@@ -402,6 +398,7 @@ class GeneticDriver final : public SearchDriver {
     return population_;
   }
 
+ public:
   void observe(const std::vector<std::vector<int>>& points,
                const std::vector<const EvalOutcome*>& outcomes) override {
     std::vector<double> fitness(points.size());
@@ -505,6 +502,7 @@ class PatternDriver final : public SearchDriver {
     return {};  // step underflowed: converged
   }
 
+ public:
   void observe(const std::vector<std::vector<int>>& points,
                const std::vector<const EvalOutcome*>& outcomes) override {
     if (!seeded_) {

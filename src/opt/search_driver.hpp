@@ -35,8 +35,8 @@ namespace catsched::opt {
 ///      (in-bounds, cheap-feasible). An empty batch marks the driver
 ///      finished (converged / budget of its own exhausted).
 ///   2. The caller evaluates the batch (shared cache, any thread count).
-///   3. `observe_batch(points, outcomes)` — same order as proposed; the
-///      driver updates its internal state and best-so-far.
+///   3. `observe(points, outcomes)` — same order as proposed; the driver
+///      updates its internal state and best-so-far.
 /// Both calls are serial; subclasses keep all state unsynchronized.
 class SearchDriver {
  public:
@@ -59,18 +59,17 @@ class SearchDriver {
   /// Report outcomes for the batch just proposed, in proposal order; every
   /// pointer must be non-null (opt::race discards half-evaluated rounds
   /// before observing — see opt/portfolio.hpp).
-  void observe_batch(const std::vector<std::vector<int>>& points,
-                     const std::vector<const EvalOutcome*>& outcomes);
+  virtual void observe(const std::vector<std::vector<int>>& points,
+                       const std::vector<const EvalOutcome*>& outcomes) = 0;
 
-  /// Optional delta anchor: when every point of the next batch is a +-1
-  /// neighbor of one base point, return it and the cache routes misses
-  /// through the delta-aware objective. Null = no common base.
+  /// Optional delta anchor: when every point of the next batch is a
+  /// one-move neighbor of one base point (+-1 in one dimension for the
+  /// drivers here), return it and the cache routes misses through the
+  /// delta-aware objective. Null = no common base.
   virtual const std::vector<int>* anchor() const { return nullptr; }
 
  protected:
   virtual std::vector<std::vector<int>> propose() = 0;
-  virtual void observe(const std::vector<std::vector<int>>& points,
-                       const std::vector<const EvalOutcome*>& outcomes) = 0;
 
   /// Fold one outcome into the best-so-far (feasible points only).
   void note(const std::vector<int>& point, const EvalOutcome& out);
@@ -108,14 +107,14 @@ class HybridDriver final : public SearchDriver {
   const std::vector<int>* anchor() const override {
     return seeded_ ? &cur_ : nullptr;
   }
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const EvalOutcome*>& outcomes) override;
   /// Accepted points, start first (empty until the start is observed).
   const std::vector<std::vector<int>>& path() const { return path_; }
   int steps() const { return steps_; }  ///< accepted moves
 
  protected:
   std::vector<std::vector<int>> propose() override;
-  void observe(const std::vector<std::vector<int>>& points,
-               const std::vector<const EvalOutcome*>& outcomes) override;
 
  private:
   struct Pending {

@@ -151,16 +151,17 @@ TEST(AnytimeInterleaved, EvalLimitCutMatchesMaxStepsRun) {
   const auto start = sched::InterleavedSchedule::from_periodic(
       sched::PeriodicSchedule({1, 1}));
 
-  // Cut the search at the first budget check after the first publish: the
-  // eval limit only trips at publish points, so the cut lands exactly on a
-  // step boundary.
+  // Cut the search at the first budget check after the first neighborhood
+  // publishes (the start's own evaluation is the first of the two charged
+  // evaluations): the eval limit only trips at publish points, so the cut
+  // lands exactly on a step boundary.
   core::RunBudget budget;
-  budget.set_max_evaluations(1);
+  budget.set_max_evaluations(2);
   core::InterleavedSearchOptions copts;
   copts.anytime.budget = &budget;
   const auto cut = core::interleaved_search(ev, start, copts);
   EXPECT_EQ(cut.telemetry.stop, core::StopReason::evaluation_limit);
-  ASSERT_GE(cut.steps, 0);
+  ASSERT_GE(cut.steps, 1);
 
   // An uninterrupted run capped at exactly that many accepted steps must
   // be bit-identical: same best schedule, same Pall bits, same published

@@ -379,8 +379,8 @@ TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
 }
 
 TEST(EvaluateAnchored, UnusableAnchorIsIgnored) {
-  // An anchor whose evaluation has no per-app state (a resume overlay's
-  // synthetic entry) falls back to the plain evaluation: no neighbor
+  // An anchor whose evaluation has no per-app state (a default-constructed
+  // ScheduleEvaluation) falls back to the plain evaluation: no neighbor
   // completion is counted and nothing is reused.
   Evaluator ev(tiny_system(), fast_options());
   const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "control/c2d.hpp"
 #include "control/kalman.hpp"
@@ -170,6 +172,72 @@ TEST(NoisySim, NoiselessRunDrivesErrorToZero) {
   const auto res =
       simulate_noisy_regulation(phases, plant.c, k, kalman.l, clean);
   EXPECT_LT(res.rms_estimation_error, 0.05);  // transient only
+}
+
+/// The two-phase plant, gains and Kalman predictor the noise tests share.
+struct NoisyLoop {
+  std::vector<catsched::control::PhaseDynamics> phases;
+  Matrix c;
+  std::vector<Matrix> k;
+  std::vector<Matrix> l;
+};
+
+NoisyLoop noisy_loop() {
+  ContinuousLTI plant;
+  plant.a = Matrix{{0.0, 1.0}, {0.0, -10.0}};
+  plant.b = Matrix{{0.0}, {200.0}};
+  plant.c = Matrix{{1.0, 0.0}};
+  NoisyLoop loop;
+  loop.phases = discretize_phases(
+      plant, {{0.010, 0.010, false}, {0.026, 0.006, true}});
+  loop.c = plant.c;
+  loop.k.assign(loop.phases.size(), Matrix{{-5.0, -0.05}});
+  loop.l = periodic_kalman(loop.phases, plant.c, 1e-4 * Matrix::identity(2),
+                           Matrix{{1e-4}})
+               .l;
+  return loop;
+}
+
+TEST(NoisySim, RejectsNegativeNoiseSigma) {
+  const NoisyLoop loop = noisy_loop();
+  NoisySimOptions bad_process;
+  bad_process.process_std = -0.01;
+  EXPECT_THROW(simulate_noisy_regulation(loop.phases, loop.c, loop.k, loop.l,
+                                         bad_process),
+               std::invalid_argument);
+  NoisySimOptions bad_measurement;
+  bad_measurement.measurement_std = -0.01;
+  EXPECT_THROW(simulate_noisy_regulation(loop.phases, loop.c, loop.k, loop.l,
+                                         bad_measurement),
+               std::invalid_argument);
+  NoisySimOptions nan_sigma;
+  nan_sigma.process_std = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(simulate_noisy_regulation(loop.phases, loop.c, loop.k, loop.l,
+                                         nan_sigma),
+               std::invalid_argument);
+}
+
+TEST(NoisySim, ZeroSigmaChannelDrawsNothing) {
+  // A measurement sigma of 1e-300 adds nothing representable to the
+  // output, but still takes its draws from the shared generator; a zero
+  // sigma takes none, so the process noise that follows sees different
+  // draws and the two runs differ.
+  const NoisyLoop loop = noisy_loop();
+  NoisySimOptions zero;
+  zero.process_std = 0.02;
+  zero.measurement_std = 0.0;
+  NoisySimOptions negligible = zero;
+  negligible.measurement_std = 1e-300;
+  const auto a =
+      simulate_noisy_regulation(loop.phases, loop.c, loop.k, loop.l, zero);
+  const auto b = simulate_noisy_regulation(loop.phases, loop.c, loop.k,
+                                           loop.l, negligible);
+  EXPECT_TRUE(std::isfinite(a.rms_estimation_error));
+  EXPECT_NE(a.rms_estimation_error, b.rms_estimation_error);
+  // Same draws again: the zero-sigma run is reproducible.
+  const auto again =
+      simulate_noisy_regulation(loop.phases, loop.c, loop.k, loop.l, zero);
+  EXPECT_EQ(a.rms_estimation_error, again.rms_estimation_error);
 }
 
 TEST(NoisySim, RejectsMismatchedGainCounts) {

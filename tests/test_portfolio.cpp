@@ -349,7 +349,7 @@ TEST(SearchDriver, StochasticDriversAreSeedDeterministic) {
       std::vector<const EvalOutcome*> outs;
       outs.reserve(batch.size());
       for (const auto& p : batch) outs.push_back(&cache.evaluate(p));
-      drv->observe_batch(batch, outs);
+      drv->observe(batch, outs);
     }
     return proposals;
   };

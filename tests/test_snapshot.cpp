@@ -309,8 +309,8 @@ TEST(SnapshotCodec, EvaluationTableLyingCountIsTruncated) {
 }
 
 TEST(SnapshotCodec, InterleavedStateLyingCountIsTruncated) {
-  // The interleaved decoder is reached through a resume: the search loads
-  // the checkpoint before it runs any design.
+  // The interleaved search resumes through its evaluation-table journal:
+  // it loads the checkpoint before it runs any design.
   namespace core = catsched::core;
   core::Evaluator ev(core::date18_case_study(),
                      core::date18_design_options());
@@ -319,7 +319,7 @@ TEST(SnapshotCodec, InterleavedStateLyingCountIsTruncated) {
   int case_no = 0;
   for (const auto& payload : lying_count_payloads()) {
     TempSnapshotPath p("lying_interleaved_" + std::to_string(case_no++));
-    core::write_snapshot_file(p.str(), core::kSnapshotKindInterleaved,
+    core::write_snapshot_file(p.str(), core::kSnapshotKindEvaluationTable,
                               payload);
     core::InterleavedSearchOptions opts;
     opts.anytime.checkpoint_path = p.str();
@@ -329,6 +329,31 @@ TEST(SnapshotCodec, InterleavedStateLyingCountIsTruncated) {
     } catch (const SnapshotError& e) {
       EXPECT_EQ(e.code(), SnapshotErrc::truncated);
     }
+  }
+  EXPECT_EQ(ev.designs_run(), 0);
+}
+
+TEST(SnapshotCodec, RetiredInterleavedKindIsRejected) {
+  // Kind 2 was the interleaved search's own published-state snapshot; the
+  // search now journals an evaluation table like every other search, so an
+  // old file is a valid snapshot of the wrong kind.
+  namespace core = catsched::core;
+  constexpr std::uint32_t kRetiredInterleavedKind = 2;
+  core::Evaluator ev(core::date18_case_study(),
+                     core::date18_design_options());
+  const auto start = catsched::sched::InterleavedSchedule::from_periodic(
+      catsched::sched::PeriodicSchedule({3, 2, 3}));
+  TempSnapshotPath p("retired_interleaved_kind");
+  SnapshotWriter w;
+  w.put_u64(0);
+  core::write_snapshot_file(p.str(), kRetiredInterleavedKind, w.take());
+  core::InterleavedSearchOptions opts;
+  opts.anytime.checkpoint_path = p.str();
+  try {
+    core::interleaved_search(ev, start, opts);
+    FAIL() << "retired snapshot kind accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrc::bad_kind);
   }
   EXPECT_EQ(ev.designs_run(), 0);
 }

@@ -22,9 +22,9 @@
 #
 #   3. Range-for iteration over std::unordered_ containers — iteration
 #      order is unspecified, so any reduction over it is a portability
-#      hazard. Iterate a sorted/vector mirror instead (see
-#      encode_interleaved_state, which emits snapshot entries in sorted
-#      key order). A provably order-FREE use (e.g. copying one map into
+#      hazard. Iterate a sorted/vector mirror instead (the EvalCache
+#      journal is a vector in completion order for exactly this reason).
+#      A provably order-FREE use (e.g. copying one map into
 #      another) may carry a `determinism-ok: <reason>` comment on the
 #      flagged line to suppress the finding.
 #

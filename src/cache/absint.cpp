@@ -1,69 +1,31 @@
 #include "cache/absint.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 namespace catsched::cache {
 
-// ----------------------------------------------------------- LineAgeSet
-
 namespace {
 
-/// First entry with entry.line >= line in the sorted range [first, last).
-template <typename It>
-It line_lower_bound(It first, It last, std::uint64_t line) noexcept {
-  return std::lower_bound(
-      first, last, line,
-      [](const LineAge& e, std::uint64_t l) { return e.line < l; });
+/// Strict (set, line) order of the entry array.
+constexpr bool entry_less(const LineAge& a, const LineAge& b) noexcept {
+  return a.set < b.set || (a.set == b.set && a.line < b.line);
+}
+
+void insert_at(std::vector<LineAge>& entries, std::size_t at, LineAge e) {
+  entries.insert(entries.begin() + static_cast<std::ptrdiff_t>(at), e);
+}
+
+void erase_range(std::vector<LineAge>& entries, std::size_t first,
+                 std::size_t last) {
+  entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(first),
+                entries.begin() + static_cast<std::ptrdiff_t>(last));
 }
 
 }  // namespace
-
-const LineAge* LineAgeSet::find(std::uint64_t line) const noexcept {
-  const LineAge* it = line_lower_bound(begin(), end(), line);
-  return (it != end() && it->line == line) ? it : nullptr;
-}
-
-LineAge* LineAgeSet::find(std::uint64_t line) noexcept {
-  LineAge* it = line_lower_bound(begin(), end(), line);
-  return (it != end() && it->line == line) ? it : nullptr;
-}
-
-void LineAgeSet::insert(std::uint64_t line, std::uint32_t age) {
-  const std::size_t pos =
-      static_cast<std::size_t>(line_lower_bound(begin(), end(), line) - begin());
-  if (size_ == kInline && spill_.empty()) {
-    // Spill: move the inline entries to the heap (sticky; see header).
-    spill_.reserve(2 * kInline);
-    spill_.assign(inline_.begin(), inline_.end());
-  }
-  if (!spill_.empty() && spill_.size() < size_ + 1) {
-    spill_.resize(std::max<std::size_t>(size_ + 1, 2 * spill_.size()));
-  }
-  LineAge* d = data();
-  for (std::size_t i = size_; i > pos; --i) d[i] = d[i - 1];
-  d[pos] = LineAge{line, age};
-  ++size_;
-}
-
-void LineAgeSet::append(LineAge entry) {
-  if (size_ == kInline && spill_.empty()) {
-    spill_.reserve(2 * kInline);
-    spill_.assign(inline_.begin(), inline_.end());
-  }
-  if (!spill_.empty() && spill_.size() < size_ + 1) {
-    spill_.resize(std::max<std::size_t>(size_ + 1, 2 * spill_.size()));
-  }
-  data()[size_++] = entry;
-}
-
-bool LineAgeSet::operator==(const LineAgeSet& other) const noexcept {
-  return size_ == other.size_ && std::equal(begin(), end(), other.begin());
-}
-
-// --------------------------------------------------- AbstractCacheState
 
 AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
     : config_(config), kind_(kind) {
@@ -75,11 +37,113 @@ AbstractCacheState::AbstractCacheState(const CacheConfig& config, Kind kind)
   }
   sets_ = config.num_sets();
   if ((sets_ & (sets_ - 1)) == 0) set_mask_ = sets_ - 1;
-  sets_state_.resize(sets_);
+}
+
+// ------------------------------------------------------------- lookup
+
+inline std::size_t AbstractCacheState::set_first(
+    std::uint32_t set) const noexcept {
+  // Instruction fetches walk consecutive lines, hence consecutive sets:
+  // the set is usually the remembered one or the one right after it.
+  if (set == hint_.set) return hint_.first;
+  const std::size_t n = entries_.size();
+  if (hint_.set < set && (hint_.last == n || set <= entries_[hint_.last].set)) {
+    return hint_.last;
+  }
+  return seek_set(set);
+}
+
+std::size_t AbstractCacheState::seek_set(std::uint32_t set) const noexcept {
+  // Bisect the side of the remembered set the wanted one lies on.
+  const LineAge* d = entries_.data();
+  const auto before = [](const LineAge& e, std::uint32_t s) {
+    return e.set < s;
+  };
+  const LineAge* found =
+      set < hint_.set
+          ? std::lower_bound(d, d + hint_.first, set, before)
+          : std::lower_bound(d + hint_.last, d + entries_.size(), set, before);
+  return static_cast<std::size_t>(found - d);
+}
+
+std::size_t AbstractCacheState::set_end(std::uint32_t set,
+                                        std::size_t from) const noexcept {
+  // Sets are short (a must set never exceeds the associativity): scan.
+  while (from < entries_.size() && entries_[from].set == set) ++from;
+  return from;
+}
+
+inline AbstractCacheState::Slot AbstractCacheState::locate(
+    std::uint64_t line) const noexcept {
+  Slot slot;
+  slot.set = set_of(line);
+  slot.first = set_first(slot.set);
+  const bool known_end = slot.set == hint_.set;
+  const std::size_t end = known_end ? hint_.last : entries_.size();
+  // One pass to the line's position, then on to the set's end.
+  const LineAge* d = entries_.data();
+  std::size_t i = slot.first;
+  while (i < end && d[i].set == slot.set && d[i].line < line) ++i;
+  slot.pos = i;
+  slot.tracked = i < end && d[i].line == line;
+  slot.last = known_end ? end : set_end(slot.set, i);
+  return slot;
+}
+
+bool AbstractCacheState::contains(std::uint64_t line) const noexcept {
+  return locate(line).tracked;
+}
+
+std::size_t AbstractCacheState::age(std::uint64_t line) const noexcept {
+  const Slot slot = locate(line);
+  return slot.tracked ? entries_[slot.pos].age : ways_;
+}
+
+bool AbstractCacheState::persistent(std::uint64_t line) const noexcept {
+  return kind_ == Kind::persistence && age(line) < ways_;
+}
+
+// ------------------------------------------------------------- access
+
+inline void AbstractCacheState::access_at(std::uint64_t line,
+                                          const Slot& slot) {
+  hint_ = SetRange(slot.set, slot.first, slot.last);
+  // Most accesses leave their set as it is or rewrite one entry, so those
+  // two cases skip update_set(). A hit on a line already at age 0 changes
+  // nothing: no must bound is younger than 0, persistence skips its sweep
+  // (see update_set), and a may line alone in its set has nothing to age.
+  // A direct-mapped must/may miss on a one-entry set replaces that entry.
+  LineAge* d = entries_.data();
+  const std::size_t size = slot.last - slot.first;
+  if (slot.tracked) {
+    if (d[slot.pos].age == 0 && (kind_ != Kind::may || size == 1)) return;
+  } else if (ways_ == 1 && kind_ != Kind::persistence && size == 1) {
+    d[slot.first] = LineAge{line, 0, slot.set};
+    return;
+  }
+  hint_.last = update_set(line, slot);
 }
 
 void AbstractCacheState::access(std::uint64_t line) {
-  LineAgeSet& set = sets_state_[set_of(line)];
+  access_at(line, locate(line));
+}
+
+inline std::size_t AbstractCacheState::age_then_access(std::uint64_t line) {
+  const Slot slot = locate(line);
+  const std::size_t before = slot.tracked ? entries_[slot.pos].age : ways_;
+  access_at(line, slot);
+  return before;
+}
+
+std::size_t AbstractCacheState::update_set(std::uint64_t line,
+                                           const Slot& slot) {
+  const std::uint32_t set = slot.set;
+  const std::size_t first = slot.first;
+  const std::size_t last = slot.last;
+  const std::size_t pos = slot.pos;
+  const bool tracked = slot.tracked;
+  const LineAge mru{line, 0, set};
+  LineAge* d = entries_.data();
   if (kind_ == Kind::persistence) {
     // Conflict-counter update: every OTHER tracked line of the set took one
     // more conflicting access, saturating at the top (= ways). The sweep is
@@ -90,145 +154,141 @@ void AbstractCacheState::access(std::uint64_t line) {
     // line's bound and re-counting it would only lose precision (this is
     // what keeps refetch bursts like a,a,b,b from saturating the set).
     const std::uint32_t top = static_cast<std::uint32_t>(ways_);
-    LineAge* self = set.find(line);
-    if (self == nullptr || self->age != 0) {
-      for (LineAge& e : set) {
-        if (e.line != line && e.age < top) ++e.age;
+    if (!tracked || d[pos].age != 0) {
+      for (std::size_t i = first; i < last; ++i) {
+        if (d[i].line != line && d[i].age < top) ++d[i].age;
       }
     }
-    if (self != nullptr) {
-      self->age = 0;
-    } else {
-      set.insert(line, 0);
+    if (tracked) {
+      d[pos].age = 0;
+      return last;
     }
-    return;
+    insert_at(entries_, pos, mru);
+    return last + 1;
   }
   if (ways_ == 1) {
     // Direct-mapped: whatever the prior contents, the accessed line evicts
     // every other tracked line (must holds at most one entry; in a may set
     // every other entry has lower bound 0 <= lb(line), so all age out) and
     // the set collapses to {line, age 0} for both kinds.
-    set.truncate(0);
-    set.append(LineAge{line, 0});
-    return;
+    if (first == last) {
+      insert_at(entries_, first, mru);
+    } else {
+      d[first] = mru;
+      erase_range(entries_, first + 1, last);
+    }
+    return first + 1;
   }
-  const LineAge* hit = set.find(line);
-  const bool tracked = hit != nullptr;
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
-  const std::uint32_t accessed_age = tracked ? hit->age : ways;
+  const std::uint32_t accessed_age = tracked ? d[pos].age : ways;
   const bool is_must = kind_ == Kind::must;
 
-  // One in-place compaction pass: age the affected lines, drop evictions.
+  // One in-place compaction pass over the set: age the affected lines,
+  // drop evictions, and put the accessed line at age 0 in its sorted slot.
   // Must: lines strictly younger than the accessed line's upper bound age
   // by one (if the accessed line is untracked, everything ages).
   // May: lower bounds advance only when ageing is certain, i.e.
   // lb(m) <= lb(accessed) (see Ferdinand's update; an untracked accessed
   // line is a definite miss, which ages every line).
-  LineAge* out = set.begin();
-  for (LineAge* it = set.begin(); it != set.end(); ++it) {
-    LineAge e = *it;
-    if (e.line != line) {
+  std::size_t out = first;
+  std::size_t at = first;  // output index of the accessed line
+  for (std::size_t i = first; i < last; ++i) {
+    LineAge e = d[i];
+    if (e.line == line) {
+      e.age = 0;
+    } else {
       const bool ages = is_must ? e.age < accessed_age
                                 : (!tracked || e.age <= accessed_age);
       if (ages && ++e.age >= ways) continue;  // bound hit associativity
     }
-    *out++ = e;
+    if (e.line < line) at = out + 1;
+    d[out++] = e;
   }
-  set.truncate(static_cast<std::size_t>(out - set.begin()));
-
-  if (LineAge* self = set.find(line)) {
-    self->age = 0;
-  } else {
-    set.insert(line, 0);
+  if (!tracked) {
+    if (out == last) {
+      // Nothing was evicted: the set grows by one.
+      insert_at(entries_, at, mru);
+      return last + 1;
+    }
+    // An eviction freed a slot: shift the set's higher lines up by one and
+    // write the line in place (a full set stays full).
+    std::copy_backward(d + at, d + out, d + out + 1);
+    d[at] = mru;
+    ++out;
   }
+  erase_range(entries_, out, last);
+  return out;
 }
 
-bool AbstractCacheState::contains(std::uint64_t line) const noexcept {
-  return sets_state_[set_of(line)].find(line) != nullptr;
-}
-
-std::size_t AbstractCacheState::age(std::uint64_t line) const noexcept {
-  const LineAge* e = sets_state_[set_of(line)].find(line);
-  return e != nullptr ? e->age : ways_;
-}
+// ------------------------------------------------------ join and age_set
 
 void AbstractCacheState::join(const AbstractCacheState& other) {
   if (kind_ != other.kind_ || sets_ != other.sets_ || ways_ != other.ways_) {
     throw std::invalid_argument("AbstractCacheState::join: mismatched states");
   }
-  for (std::size_t s = 0; s < sets_; ++s) {
-    LineAgeSet& mine = sets_state_[s];
-    const LineAgeSet& theirs = other.sets_state_[s];
-    if (kind_ == Kind::must) {
-      // Intersection with maximal (most pessimistic) age: a sorted merge
-      // written back in place (the result is a subset of `mine`).
-      LineAge* out = mine.begin();
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end && b != b_end) {
-        if (a->line < b->line) {
-          ++a;
-        } else if (b->line < a->line) {
-          ++b;
-        } else {
-          *out++ = LineAge{a->line, std::max(a->age, b->age)};
-          ++a;
-          ++b;
-        }
+  const LineAge* b = other.entries_.data();
+  const std::size_t nb = other.entries_.size();
+  if (kind_ == Kind::must) {
+    // Intersection with maximal (most pessimistic) age: one sorted merge
+    // written back in place (the result is a subset of this state).
+    LineAge* a = entries_.data();
+    const std::size_t na = entries_.size();
+    std::size_t out = 0;
+    for (std::size_t i = 0, j = 0; i < na && j < nb;) {
+      if (entry_less(a[i], b[j])) {
+        ++i;
+      } else if (entry_less(b[j], a[i])) {
+        ++j;
+      } else {
+        LineAge e = a[i++];
+        e.age = std::max(e.age, b[j++].age);
+        a[out++] = e;
       }
-      mine.truncate(static_cast<std::size_t>(out - mine.begin()));
-    } else if (kind_ == Kind::persistence) {
-      // Union with MAXIMAL age (both are upper bounds on the conflict
-      // count). One-sided entries survive — on the path that never
-      // accessed the line the first-miss claim is vacuous — but their age
-      // is bumped to at least 1: age 0 must keep certifying "most recent
-      // access of this set on EVERY joined path" (access() skips its aging
-      // sweep on that certificate), and the untracked side cannot vouch.
-      if (mine.empty() && theirs.empty()) continue;
-      LineAgeSet merged;
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end || b != b_end) {
-        if (b == b_end || (a != a_end && a->line < b->line)) {
-          merged.append(LineAge{a->line, std::max(a->age, 1u)});
-          ++a;
-        } else if (a == a_end || b->line < a->line) {
-          merged.append(LineAge{b->line, std::max(b->age, 1u)});
-          ++b;
-        } else {
-          merged.append(LineAge{a->line, std::max(a->age, b->age)});
-          ++a;
-          ++b;
-        }
-      }
-      mine = std::move(merged);
+    }
+    entries_.resize(out);
+  } else {
+    union_with(b, nb);
+  }
+  // The merge moved set boundaries: restart lookups at the first set.
+  const std::uint32_t front = entries_.empty() ? 0 : entries_.front().set;
+  hint_ = SetRange(front, 0, set_end(front, 0));
+}
+
+void AbstractCacheState::union_with(const LineAge* b, std::size_t nb) {
+  // May: union with minimal (most optimistic) age. Persistence: union with
+  // MAXIMAL age (both are upper bounds on the conflict count); one-sided
+  // entries survive — on the path that never accessed the line the
+  // first-miss claim is vacuous — but their age is bumped to at least 1:
+  // age 0 must keep certifying "most recent access of this set on EVERY
+  // joined path" (access() skips its aging sweep on that certificate), and
+  // the untracked side cannot vouch.
+  const bool persistence = kind_ == Kind::persistence;
+  const auto one_sided = [persistence](LineAge e) {
+    if (persistence) e.age = std::max(e.age, 1u);
+    return e;
+  };
+  // One merge pass into a fresh array: the union can outgrow this state.
+  const LineAge* a = entries_.data();
+  const std::size_t na = entries_.size();
+  std::vector<LineAge> merged;
+  merged.reserve(na + nb);
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < na && j < nb) {
+    if (entry_less(a[i], b[j])) {
+      merged.push_back(one_sided(a[i++]));
+    } else if (entry_less(b[j], a[i])) {
+      merged.push_back(one_sided(b[j++]));
     } else {
-      // Union with minimal (most optimistic) age: sorted merge into a
-      // scratch set (the union can outgrow `mine`).
-      if (theirs.empty()) continue;
-      LineAgeSet merged;
-      const LineAge* a = mine.begin();
-      const LineAge* a_end = mine.end();
-      const LineAge* b = theirs.begin();
-      const LineAge* b_end = theirs.end();
-      while (a != a_end || b != b_end) {
-        if (b == b_end || (a != a_end && a->line < b->line)) {
-          merged.append(*a++);
-        } else if (a == a_end || b->line < a->line) {
-          merged.append(*b++);
-        } else {
-          merged.append(LineAge{a->line, std::min(a->age, b->age)});
-          ++a;
-          ++b;
-        }
-      }
-      mine = std::move(merged);
+      LineAge e = a[i++];
+      const std::uint32_t theirs = b[j++].age;
+      e.age = persistence ? std::max(e.age, theirs) : std::min(e.age, theirs);
+      merged.push_back(e);
     }
   }
+  for (; i < na; ++i) merged.push_back(one_sided(a[i]));
+  for (; j < nb; ++j) merged.push_back(one_sided(b[j]));
+  entries_ = std::move(merged);
 }
 
 void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
@@ -236,35 +296,35 @@ void AbstractCacheState::age_set(std::size_t set_index, std::uint32_t amount) {
     throw std::out_of_range("AbstractCacheState::age_set: set out of range");
   }
   if (amount == 0) return;
-  LineAgeSet& set = sets_state_[set_index];
+  const std::uint32_t set = static_cast<std::uint32_t>(set_index);
+  const std::size_t first = set_first(set);
+  const std::size_t last = set_end(set, first);
+  hint_ = SetRange(set, first, last);
+  LineAge* d = entries_.data();
   const std::uint32_t ways = static_cast<std::uint32_t>(ways_);
   if (kind_ == Kind::persistence) {
     // Saturating advance: conflict counters cap at the top (= ways) and
     // entries are never dropped (a saturated line is simply no longer
     // persistent; "tracked" must keep meaning "accessed at some point").
-    for (LineAge& e : set) {
-      e.age = (amount >= ways || e.age >= ways - amount) ? ways
-                                                         : e.age + amount;
+    for (std::size_t i = first; i < last; ++i) {
+      d[i].age = (amount >= ways || d[i].age >= ways - amount)
+                     ? ways
+                     : d[i].age + amount;
     }
     return;
   }
   // One compaction pass (same shape as access()): advance every bound,
   // drop entries that reach the associativity. Entries stay sorted by line
   // (ages change uniformly), so no re-sort is needed.
-  LineAge* out = set.begin();
-  for (LineAge* it = set.begin(); it != set.end(); ++it) {
-    LineAge e = *it;
+  std::size_t out = first;
+  for (std::size_t i = first; i < last; ++i) {
+    LineAge e = d[i];
     if (amount >= ways || e.age + amount >= ways) continue;  // evicted
     e.age += amount;
-    *out++ = e;
+    d[out++] = e;
   }
-  set.truncate(static_cast<std::size_t>(out - set.begin()));
-}
-
-std::size_t AbstractCacheState::tracked_lines() const noexcept {
-  std::size_t n = 0;
-  for (const LineAgeSet& set : sets_state_) n += set.size();
-  return n;
+  erase_range(entries_, out, last);
+  hint_.last = out;
 }
 
 namespace {
@@ -281,18 +341,17 @@ constexpr std::uint64_t hash_mix(std::uint64_t x) noexcept {
 }  // namespace
 
 std::size_t AbstractCacheState::hash() const noexcept {
-  // Entries are kept sorted per set, so iterating them yields a canonical
-  // sequence: equal states (operator==) produce identical streams.
+  // Entries are kept sorted by (set, line), so iterating them yields a
+  // canonical sequence: equal states (operator==) produce identical
+  // streams.
   const std::uint64_t kind_tag = kind_ == Kind::must  ? 1u
                                  : kind_ == Kind::may ? 2u
                                                       : 3u;
   std::uint64_t h = 0x8f1bbcdcbfa53e0bull ^ kind_tag;
-  h = hash_mix(h ^ sets_state_.size());
-  for (std::size_t s = 0; s < sets_state_.size(); ++s) {
-    for (const LineAge& e : sets_state_[s]) {
-      h = hash_mix(h ^ (static_cast<std::uint64_t>(s) << 32 ^ e.age));
-      h = hash_mix(h ^ e.line);
-    }
+  h = hash_mix(h ^ sets_);
+  for (const LineAge& e : entries_) {
+    h = hash_mix(h ^ (static_cast<std::uint64_t>(e.set) << 32 ^ e.age));
+    h = hash_mix(h ^ e.line);
   }
   return static_cast<std::size_t>(h);
 }
@@ -330,9 +389,19 @@ void CachePair::access(std::uint64_t line) {
 }
 
 Classification CachePair::classify_and_access(std::uint64_t line) {
-  const Classification c = classify(line);
-  access(line);
-  return c;
+  // classify() then access() with one lookup per state: each state reports
+  // the line's age bound from before its own update. Must and may never
+  // hold an age of `ways` (they evict there), and persistence holds one
+  // only for a line that is not persistent, so `< ways` reads contains()
+  // and persistent() alike.
+  const std::size_t ways = must_.config().ways();
+  const bool must_hit = must_.age_then_access(line) < ways;
+  const bool may_hit = may_.age_then_access(line) < ways;
+  const bool persistent = persistence_.age_then_access(line) < ways;
+  if (must_hit) return Classification::always_hit;
+  if (!may_hit) return Classification::always_miss;
+  if (persistent) return Classification::first_miss;
+  return Classification::not_classified;
 }
 
 void CachePair::reset_persistence() {

@@ -18,7 +18,6 @@
 ///        whatever the concrete entry cache holds — see the Kind doc below
 ///        for why carrying it across runs would also break monotonicity.
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,71 +25,15 @@
 
 namespace catsched::cache {
 
-/// One tracked cache line with its age bound.
+/// One tracked cache line with its age bound. `set` is the line's cache
+/// set, stored in what would otherwise be padding: it is the major key of
+/// AbstractCacheState's (set, line) entry order, so lookups and merges
+/// compare it directly instead of re-deriving it from the line.
 struct LineAge {
   std::uint64_t line = 0;
   std::uint32_t age = 0;
+  std::uint32_t set = 0;
   bool operator==(const LineAge&) const = default;
-};
-
-/// Flat per-set storage for an abstract cache set: line/age entries kept
-/// sorted by line. Entries live in a fixed inline array (no allocation) up
-/// to kInline and spill to the heap beyond it — a must set never exceeds
-/// the associativity, so for the common configurations every WCET-fixpoint
-/// access/join/compare is allocation-free; only a may set can briefly grow
-/// past the associativity at join points (its join is a union).
-class LineAgeSet {
-public:
-  static constexpr std::size_t kInline = 4;
-
-  LineAgeSet() = default;
-  LineAgeSet(const LineAgeSet&) = default;
-  LineAgeSet(LineAgeSet&&) = default;
-  LineAgeSet& operator=(const LineAgeSet&) = default;
-  LineAgeSet& operator=(LineAgeSet&&) = default;
-
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
-
-  const LineAge* begin() const noexcept { return data(); }
-  const LineAge* end() const noexcept { return data() + size_; }
-  LineAge* begin() noexcept { return data(); }
-  LineAge* end() noexcept { return data() + size_; }
-
-  /// Entry for \p line, or nullptr.
-  const LineAge* find(std::uint64_t line) const noexcept;
-  LineAge* find(std::uint64_t line) noexcept;
-
-  /// Insert (line, age) keeping the sort; \p line must not be present.
-  void insert(std::uint64_t line, std::uint32_t age);
-
-  /// Append an entry whose line is greater than every present line (the
-  /// fast path for building a set in sorted order, e.g. merge joins).
-  void append(LineAge entry);
-
-  /// Drop every entry at index >= n (after an in-place compaction).
-  void truncate(std::size_t n) noexcept {
-    size_ = static_cast<std::uint32_t>(n);
-  }
-
-  void clear() noexcept { size_ = 0; }
-
-  /// Logical (storage-independent) equality: same sorted entry sequence.
-  bool operator==(const LineAgeSet& other) const noexcept;
-
-private:
-  const LineAge* data() const noexcept {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-  LineAge* data() noexcept {
-    return spill_.empty() ? inline_.data() : spill_.data();
-  }
-
-  std::uint32_t size_ = 0;
-  std::array<LineAge, kInline> inline_{};
-  // Sticky heap mode: once spilled, entries stay in spill_ (capacity is
-  // retained across clears, so a hot may set allocates once).
-  std::vector<LineAge> spill_;
 };
 
 /// One abstract cache state: per set, an age bound for every tracked line.
@@ -128,10 +71,19 @@ private:
 /// same-set lines x,y,z the trace z,x,y,z,x really misses twice on x, yet
 /// conditional aging would keep age(x) < 2 and wrongly certify it.
 ///
-/// Storage is flat (see LineAgeSet): the WCET fixpoint's access/join/==
-/// inner loops run over contiguous line/age pairs instead of std::map
-/// nodes, which removes every per-access allocation and makes state copies
-/// (the dominant cost of loop fixpoints) plain memcpy-sized.
+/// Storage is sparse: one array of LineAge entries sorted by (set, line),
+/// holding only the tracked lines, so an empty set costs nothing and a
+/// state over a few dozen lines is a few dozen entries whatever the set
+/// count. Copy, join (one merge pass over both arrays), == and hash() are
+/// linear in the tracked lines — the WCET fixpoint copies, joins and
+/// memo-compares states far more often than it touches any one set — and
+/// a cold or freshly reset state allocates nothing. Set lookup starts from
+/// the set the last update touched: instruction fetches walk consecutive
+/// lines, hence consecutive sets, so access() and the classification
+/// before it find their set in one or two comparisons (other sets are a
+/// bisection). An update that keeps its set's size — a hit at age 0, a
+/// direct-mapped miss, a full set that evicts one line to load one —
+/// rewrites entries in place.
 class AbstractCacheState {
 public:
   enum class Kind { must, may, persistence };
@@ -166,11 +118,7 @@ public:
   /// Persistence only: the line was provably never evicted since it was
   /// last loaded (its conflict bound never reached the associativity), so
   /// any access point to it misses at most once over the analyzed run.
-  bool persistent(std::uint64_t line) const noexcept {
-    return kind_ == Kind::persistence &&
-           sets_state_[set_of(line)].find(line) != nullptr &&
-           age(line) < ways_;
-  }
+  bool persistent(std::uint64_t line) const noexcept;
 
   /// Join with another state of the same kind and configuration.
   /// \throws std::invalid_argument on kind/config mismatch.
@@ -192,31 +140,96 @@ public:
   void age_set(std::size_t set_index, std::uint32_t amount);
 
   /// Number of tracked lines over all sets.
-  std::size_t tracked_lines() const noexcept;
+  std::size_t tracked_lines() const noexcept { return entries_.size(); }
 
   /// Strong hash over the exact abstract contents (kind plus every
   /// (set, line, age) entry): equal states hash equal, so states can key
   /// hash maps — the static-WCET subtree memo keys on them.
   std::size_t hash() const noexcept;
 
-  bool operator==(const AbstractCacheState& other) const = default;
+  /// Same kind, configuration and tracked entries (the lookup hint is
+  /// not part of the abstract value).
+  bool operator==(const AbstractCacheState& other) const noexcept {
+    return kind_ == other.kind_ && entries_ == other.entries_ &&
+           config_ == other.config_;
+  }
 
 private:
-  std::size_t set_of(std::uint64_t line) const noexcept {
+  // CachePair::classify_and_access reads each state's age bound as it
+  // updates it (age_then_access).
+  friend class CachePair;
+
+  /// One set and the index range [first, last) of its entries (where it
+  /// would be inserted, if empty). Moving a state empties its entries, so
+  /// a move clears the source's range with them.
+  struct SetRange {
+    std::uint32_t set = 0;
+    std::size_t first = 0;
+    std::size_t last = 0;
+
+    SetRange() = default;
+    SetRange(std::uint32_t s, std::size_t f, std::size_t l) noexcept
+        : set(s), first(f), last(l) {}
+    SetRange(const SetRange&) = default;
+    SetRange& operator=(const SetRange&) = default;
+    SetRange(SetRange&& other) noexcept : SetRange(other) { other.clear(); }
+    SetRange& operator=(SetRange&& other) noexcept {
+      *this = other;
+      other.clear();
+      return *this;
+    }
+    void clear() noexcept {
+      set = 0;
+      first = 0;
+      last = 0;
+    }
+  };
+
+  /// Where a line sits: its set's entries [first, last), and the index of
+  /// the line's own entry (tracked) or of where it would be inserted.
+  struct Slot {
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::size_t pos = 0;
+    std::uint32_t set = 0;
+    bool tracked = false;
+  };
+
+  std::uint32_t set_of(std::uint64_t line) const noexcept {
     // Caches almost always have a power-of-two set count; the masked path
     // avoids a hardware divide in the innermost fixpoint loop.
-    return static_cast<std::size_t>(set_mask_ != 0 ? (line & set_mask_)
-                                                   : line % sets_);
+    return static_cast<std::uint32_t>(set_mask_ != 0 ? (line & set_mask_)
+                                                     : line % sets_);
   }
+
+  /// Index of the set's first entry (where it would go, if empty).
+  std::size_t set_first(std::uint32_t set) const noexcept;
+  std::size_t seek_set(std::uint32_t set) const noexcept;
+  /// End of the set's entries, scanning on from one of them (or its end).
+  std::size_t set_end(std::uint32_t set, std::size_t from) const noexcept;
+  Slot locate(std::uint64_t line) const noexcept;
+
+  /// age(line), then access(line), with one lookup.
+  std::size_t age_then_access(std::uint64_t line);
+  /// access() of an already located line.
+  void access_at(std::uint64_t line, const Slot& slot);
+  /// The set update access_at() does not do in place; returns the set's
+  /// new end index.
+  std::size_t update_set(std::uint64_t line, const Slot& slot);
+  /// The may/persistence join over \p other's sorted entries.
+  void union_with(const LineAge* other, std::size_t count);
 
   CacheConfig config_;
   Kind kind_ = Kind::must;
   std::size_t sets_ = 0;
   std::size_t ways_ = 0;
   std::uint64_t set_mask_ = 0;  ///< sets_ - 1 when sets_ is a power of two
-  // Flat sorted-by-line sets keep operator== and join deterministic (same
-  // iteration order as the previous std::map storage) without node churn.
-  std::vector<LineAgeSet> sets_state_;
+  /// Tracked lines sorted by (set, line): the canonical order == and
+  /// hash() rely on.
+  std::vector<LineAge> entries_;
+  /// The set the last access or age_set touched (the first set after a
+  /// join): where the next lookup starts. Not part of the abstract value.
+  SetRange hint_;
 };
 
 /// Static classification of one instruction-fetch access point.

@@ -11,6 +11,7 @@
 #include <map>
 #include <random>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -352,13 +353,13 @@ TEST(AbsintSoundness, JoinCoversBothConcreteStates) {
 }
 
 // --------------------------------------------------------------------------
-// Differential check of the flat (sorted line/age array) domain against an
-// independent std::map reference implementation of Ferdinand's transfer
-// functions — the storage the domain used before the flat rewrite. Any
-// divergence in tracked lines, ages, or join results over randomized traces
-// with joins is a bug in one of the two.
+// Differential check of the domain against an independent per-set std::map
+// reference implementation of the must/may/persistence transfer functions,
+// joins and age_set. Any divergence in tracked lines, ages, or join results
+// over randomized traces with joins and interference is a bug in one of the
+// two.
 
-/// Reference (map-based) must/may state with the original transfer code.
+/// Reference (map-based) abstract state: one std::map per set.
 class MapRefState {
  public:
   MapRefState(const CacheConfig& config, AbstractCacheState::Kind kind)
@@ -369,6 +370,17 @@ class MapRefState {
     auto& set = sets_state_[line % sets_];
     const auto it = set.find(line);
     const bool tracked = it != set.end();
+    if (kind_ == AbstractCacheState::Kind::persistence) {
+      // Unconditional saturating aging of every other line, skipped only
+      // when the accessed line is already at age 0.
+      if (!tracked || it->second != 0) {
+        for (auto& [other, age] : set) {
+          if (other != line && age < ways_) ++age;
+        }
+      }
+      set[line] = 0;
+      return;
+    }
     const std::size_t accessed_age = tracked ? it->second : ways_;
     const bool is_must = kind_ == AbstractCacheState::Kind::must;
     for (auto m = set.begin(); m != set.end();) {
@@ -400,6 +412,21 @@ class MapRefState {
             ++it;
           }
         }
+      } else if (kind_ == AbstractCacheState::Kind::persistence) {
+        // Union with max age; a one-sided entry is bumped to at least 1.
+        for (auto& [line, age] : mine) {
+          if (theirs.find(line) == theirs.end()) {
+            age = std::max<std::size_t>(age, 1);
+          }
+        }
+        for (const auto& [line, age] : theirs) {
+          const auto it = mine.find(line);
+          if (it == mine.end()) {
+            mine.emplace(line, std::max<std::size_t>(age, 1));
+          } else {
+            it->second = std::max(it->second, age);
+          }
+        }
       } else {
         for (const auto& [line, age] : theirs) {
           const auto it = mine.find(line);
@@ -411,6 +438,27 @@ class MapRefState {
         }
       }
     }
+  }
+
+  /// Must: advance every bound of the set and evict at the associativity.
+  /// Persistence: advance and saturate at the associativity, never evict.
+  void age_set(std::size_t set_index, std::size_t amount) {
+    auto& set = sets_state_[set_index];
+    for (auto it = set.begin(); it != set.end();) {
+      it->second += amount;
+      if (kind_ == AbstractCacheState::Kind::persistence) {
+        it->second = std::min(it->second, ways_);
+      } else if (it->second >= ways_) {
+        it = set.erase(it);
+        continue;
+      }
+      ++it;
+    }
+  }
+
+  bool contains(std::uint64_t line) const {
+    const auto& set = sets_state_[line % sets_];
+    return set.find(line) != set.end();
   }
 
   std::size_t age(std::uint64_t line) const {
@@ -445,6 +493,10 @@ void expect_equivalent(const AbstractCacheState& flat, const MapRefState& ref,
                        std::uint64_t max_line, const char* what) {
   ASSERT_EQ(flat.tracked_lines(), ref.tracked_lines()) << what;
   for (std::uint64_t line = 0; line <= max_line; ++line) {
+    // contains() separates a persistence line saturated at the top from an
+    // untracked one (age() reports `ways` for both).
+    ASSERT_EQ(flat.contains(line), ref.contains(line))
+        << what << " line " << line;
     ASSERT_EQ(flat.age(line), ref.age(line)) << what << " line " << line;
   }
 }
@@ -459,8 +511,19 @@ TEST_P(FlatVsMapDifferential, RandomTracesWithJoinsMatchReference) {
   std::mt19937_64 rng(lines * 1000 + assoc);
   std::uniform_int_distribution<std::uint64_t> addr(0, max_line);
 
+  // Interference draws come from their own stream, so the access traces
+  // are the same with and without age_set.
+  std::mt19937_64 interference_rng(lines * 1000 + assoc + 1);
+  std::uniform_int_distribution<std::size_t> set_pick(0, cfg.num_sets() - 1);
+  std::uniform_int_distribution<std::uint32_t> interference(
+      0, static_cast<std::uint32_t>(cfg.ways() + 1));
+
   for (const auto kind :
-       {AbstractCacheState::Kind::must, AbstractCacheState::Kind::may}) {
+       {AbstractCacheState::Kind::must, AbstractCacheState::Kind::may,
+        AbstractCacheState::Kind::persistence}) {
+    // age_set is an upper-bound interference transfer: must evicts,
+    // persistence saturates (a may state needs a lower bound instead).
+    const bool interfere = kind != AbstractCacheState::Kind::may;
     for (int trial = 0; trial < 20; ++trial) {
       AbstractCacheState flat_a(cfg, kind);
       AbstractCacheState flat_b(cfg, kind);
@@ -486,6 +549,13 @@ TEST_P(FlatVsMapDifferential, RandomTracesWithJoinsMatchReference) {
         const std::uint64_t line = addr(rng);
         flat_a.access(line);
         ref_a.access(line);
+        if (interfere && i % 8 == 7) {
+          const std::size_t set = set_pick(interference_rng);
+          const std::uint32_t amount = interference(interference_rng);
+          flat_a.age_set(set, amount);
+          ref_a.age_set(set, amount);
+          expect_equivalent(flat_a, ref_a, max_line, "age_set");
+        }
       }
       expect_equivalent(flat_a, ref_a, max_line, "post-join access");
       // Equality operator agrees with the reference notion of equality.
@@ -503,5 +573,127 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(16, 4),   // 4-way
                       std::make_tuple(12, 2),   // non-power-of-two sets
                       std::make_tuple(8, 0)));  // fully associative
+
+// --------------------------------------------------------------------------
+// Memo keys depend on contents only. StaticAnalysisMemo keys on CachePair
+// equality and hash, so two states with the same tracked (line, age)
+// entries must compare equal and hash equal however they were reached —
+// whatever storage a history leaves behind (grown and shrunk, joined,
+// evicted) must not leak into == or hash().
+
+void expect_same_key(const AbstractCacheState& a, const AbstractCacheState& b,
+                     const char* what) {
+  EXPECT_EQ(a, b) << what;
+  EXPECT_EQ(a.hash(), b.hash()) << what;
+}
+
+TEST(MemoKey, EqualContentsFromDifferentHistoriesCompareAndHashEqual) {
+  const CacheConfig cfg = small_cache(8, 2);  // 4 sets, 2 ways
+  using Kind = AbstractCacheState::Kind;
+
+  // Direct build: must {1:0}.
+  AbstractCacheState direct(cfg, Kind::must);
+  direct.access(1);
+
+  // A join that shrinks must: {1:0, 5:1} meet {1:0} = {1:0}.
+  AbstractCacheState joined(cfg, Kind::must);
+  joined.access(5);
+  joined.access(1);
+  AbstractCacheState other(cfg, Kind::must);
+  other.access(1);
+  joined.join(other);
+  expect_same_key(direct, joined, "must join that shrinks");
+
+  // An age_set that evicts: {1:0, 3:0} with set 3 aged out = {1:0}.
+  AbstractCacheState evicted(cfg, Kind::must);
+  evicted.access(3);
+  evicted.access(1);
+  evicted.age_set(3, 2);
+  expect_same_key(direct, evicted, "must age_set that evicts");
+
+  // A may set that grew past the associativity at a join (union of two
+  // disjoint full sets) and aged back down to the directly built contents.
+  const CacheConfig one_set = small_cache(4, 4);
+  AbstractCacheState may_direct(one_set, Kind::may);
+  AbstractCacheState may_grown(one_set, Kind::may);
+  AbstractCacheState may_other(one_set, Kind::may);
+  for (std::uint64_t line = 0; line < 4; ++line) may_grown.access(line);
+  for (std::uint64_t line = 4; line < 8; ++line) may_other.access(line);
+  may_grown.join(may_other);
+  EXPECT_EQ(may_grown.tracked_lines(), 8u);
+  for (std::uint64_t line = 8; line < 12; ++line) {
+    may_direct.access(line);
+    may_grown.access(line);
+  }
+  expect_same_key(may_direct, may_grown, "may union aged back down");
+
+  // Persistence: saturation by age_set equals saturation by conflicts.
+  AbstractCacheState pers_aged(cfg, Kind::persistence);
+  pers_aged.access(1);
+  pers_aged.access(5);
+  pers_aged.age_set(1, 10);
+  AbstractCacheState pers_conflicts(cfg, Kind::persistence);
+  pers_conflicts.access(5);
+  pers_conflicts.access(1);
+  pers_conflicts.access(9);  // 1 -> 1, 5 -> 2 (the top: 2 ways), 9 -> 0
+  pers_conflicts.access(5);  // 5 -> 0, 1 -> 2, 9 -> 1
+  pers_conflicts.access(1);  // 1 -> 0, 5 -> 1, 9 -> 2
+  pers_conflicts.age_set(1, 10);
+  AbstractCacheState pers_expected(cfg, Kind::persistence);
+  pers_expected.access(1);
+  pers_expected.access(5);
+  pers_expected.access(9);
+  pers_expected.age_set(1, 10);
+  expect_same_key(pers_conflicts, pers_expected, "persistence saturation");
+  EXPECT_NE(pers_aged, pers_expected);  // 9 is tracked only in one
+}
+
+TEST(MemoKey, MovedFromStateIsEmptyAndUsable) {
+  // A moved-from state is a valid empty state: lookups start over rather
+  // than from where the moved entries used to be.
+  const CacheConfig cfg = small_cache(8, 2);
+  AbstractCacheState source(cfg, AbstractCacheState::Kind::must);
+  source.access(1);
+  source.access(5);
+  source.access(2);
+  const AbstractCacheState moved = std::move(source);
+  EXPECT_EQ(moved.tracked_lines(), 3u);
+  EXPECT_FALSE(source.contains(2));  // NOLINT(bugprone-use-after-move)
+  source.access(2);
+  source.access(6);
+  EXPECT_EQ(source.tracked_lines(), 2u);
+  EXPECT_EQ(source.age(6), 0u);
+  EXPECT_EQ(source.age(2), 1u);
+}
+
+TEST(MemoKey, FreshPairEqualsResetPairOnLargeCache) {
+  const CacheConfig cfg = small_cache(4096, 1);  // 4096 sets
+  const CachePair fresh(cfg);
+  CachePair reset(cfg);
+  reset.reset_persistence();
+  EXPECT_EQ(fresh, reset);
+  EXPECT_EQ(fresh.hash(), reset.hash());
+
+  // Persistence facts from a run are gone after the reset, and the pair
+  // keys the same as one whose persistence never saw those accesses.
+  CachePair ran(cfg);
+  CachePair again(cfg);
+  for (std::uint64_t line : {7u, 4103u, 12u, 7u}) {
+    ran.access(line);
+    again.access(line);
+  }
+  again.reset_persistence();
+  ran.reset_persistence();
+  EXPECT_EQ(ran, again);
+  EXPECT_EQ(ran.hash(), again.hash());
+  EXPECT_NE(ran, fresh);
+
+  std::unordered_map<CachePair, int, catsched::cache::CachePairHash> memo;
+  memo.emplace(fresh, 1);
+  memo.emplace(ran, 2);
+  EXPECT_EQ(memo.size(), 2u);
+  EXPECT_EQ(memo.at(reset), 1);
+  EXPECT_EQ(memo.at(again), 2);
+}
 
 }  // namespace

@@ -155,8 +155,8 @@ public:
   }
 
 private:
-  // CachePair::classify_and_access reads each state's age bound as it
-  // updates it (age_then_access).
+  // CachePair::classify_and_access tests and updates each state with one
+  // lookup (claims_then_access).
   friend class CachePair;
 
   /// One set and the index range [first, last) of its entries (where it
@@ -209,8 +209,11 @@ private:
   std::size_t set_end(std::uint32_t set, std::size_t from) const noexcept;
   Slot locate(std::uint64_t line) const noexcept;
 
-  /// age(line), then access(line), with one lookup.
-  std::size_t age_then_access(std::uint64_t line);
+  /// This kind's classification test on a located line: contains() for
+  /// must and may, persistent() for persistence.
+  bool claims(const Slot& slot) const noexcept;
+  /// claims() of the line, then access(line), with one lookup.
+  bool claims_then_access(std::uint64_t line);
   /// access() of an already located line.
   void access_at(std::uint64_t line, const Slot& slot);
   /// The set update access_at() does not do in place; returns the set's

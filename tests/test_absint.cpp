@@ -574,6 +574,62 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(12, 2),   // non-power-of-two sets
                       std::make_tuple(8, 0)));  // fully associative
 
+class ClassifyAndAccessAgreement
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+/// classify_and_access() tests and updates each state with one lookup; it
+/// must classify and update exactly as classify() followed by access(),
+/// including after joins (which move set boundaries) and interference.
+TEST_P(ClassifyAndAccessAgreement, MatchesClassifyThenAccess) {
+  const auto [lines, assoc] = GetParam();
+  const CacheConfig cfg = small_cache(lines, assoc);
+  std::mt19937_64 rng(lines * 7919 + assoc);
+  std::uniform_int_distribution<std::uint64_t> addr(0, 3 * lines);
+  std::uniform_int_distribution<std::size_t> set_pick(0, cfg.num_sets() - 1);
+  std::uniform_int_distribution<std::uint32_t> interference(
+      0, static_cast<std::uint32_t>(cfg.ways()));
+  int counts[4] = {};
+  for (int trial = 0; trial < 20; ++trial) {
+    CachePair fused(cfg);
+    CachePair split(cfg);
+    CachePair other(cfg);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t line = addr(rng);
+      const Classification expected = split.classify(line);
+      split.access(line);
+      const Classification got = fused.classify_and_access(line);
+      ASSERT_EQ(got, expected) << "trial " << trial << " access " << i;
+      ASSERT_EQ(fused, split) << "trial " << trial << " access " << i;
+      ++counts[static_cast<int>(got)];
+      other.access(addr(rng));
+      if (i % 50 == 49) {
+        fused.join(other);
+        split.join(other);
+      }
+      if (i % 16 == 15) {
+        const std::size_t set = set_pick(rng);
+        const std::uint32_t amount = interference(rng);
+        fused.age_interference_set(set, amount);
+        split.age_interference_set(set, amount);
+      }
+    }
+  }
+  // Every classification is exercised, except FM where a one-way cache
+  // evicts on every conflict.
+  EXPECT_GT(counts[static_cast<int>(Classification::always_hit)], 0);
+  EXPECT_GT(counts[static_cast<int>(Classification::always_miss)], 0);
+  EXPECT_GT(counts[static_cast<int>(Classification::not_classified)], 0);
+  if (cfg.ways() > 1) {
+    EXPECT_GT(counts[static_cast<int>(Classification::first_miss)], 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, ClassifyAndAccessAgreement,
+    ::testing::Values(std::make_tuple(8, 1), std::make_tuple(128, 1),
+                      std::make_tuple(8, 2), std::make_tuple(16, 4),
+                      std::make_tuple(12, 2), std::make_tuple(8, 0)));
+
 // --------------------------------------------------------------------------
 // Memo keys depend on contents only. StaticAnalysisMemo keys on CachePair
 // equality and hash, so two states with the same tracked (line, age)

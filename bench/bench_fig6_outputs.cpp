@@ -24,9 +24,7 @@ control::SimResult rerun(const core::SystemModel& sys, std::size_t app,
   control::SimOptions so;
   so.r = a.r;
   so.horizon = horizon;
-  sched::AppTiming at;
-  at.intervals = intervals;
-  so.start_phase = at.longest_interval();
+  so.start_phase = ev.timing.apps[app].longest_interval();
   so.hold_first_interval = true;
   so.settle_on_samples = false;
   return sim.simulate(ev.apps[app].design.gains, eq.x, eq.u, so);

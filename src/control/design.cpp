@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -12,32 +13,68 @@
 #include "control/pole_place.hpp"
 #include "core/parallel.hpp"
 #include "opt/pattern_search.hpp"
+#include "sched/timing.hpp"
 #include "linalg/eig.hpp"
 
 namespace catsched::control {
 
 namespace {
 
-/// Shared evaluation context so the PSO objective and the final metric
-/// report use identical code paths.
-struct EvalContext {
-  const DesignSpec& spec;
-  const SwitchedSimulator& sim;
-  const DesignOptions& opts;
-  Matrix x0;
-  double u_prev0;
-  SimOptions sim_opts;
+// The cost rule of a simulated candidate, in three terms that both the
+// final cost and its running lower bound are written from.
 
-  std::optional<std::vector<double>> feedforward(
-      const std::vector<Matrix>& k) const {
-    return opts.exact_feedforward
-               ? exact_feedforward(sim.phases(), spec.plant.c, k)
-               : per_interval_feedforward(sim.phases(), spec.plant.c, k);
+/// A settled run: settling time plus a small integral-absolute-error term.
+/// Settling time is piecewise constant in the gains; the IAE term breaks
+/// plateau ties toward robust centers.
+double settled_cost(double settling_time, double iae) {
+  return settling_time + 0.05 * iae;
+}
+
+/// Every run that does not settle costs at least this much.
+double unsettled_floor(double horizon) { return 2.0 * horizon; }
+
+/// Graded input-saturation penalty, added when |u| exceeds umax.
+double saturation_penalty(double horizon, double u_max_abs, double umax) {
+  return 50.0 * horizon * (u_max_abs / umax - 1.0);
+}
+
+/// The stop test of a bounded evaluation: stop once the cost provably
+/// cannot get below the bound, remembering the lower bound reached. A stop
+/// needs a finite lower bound: an infinite one (an overflowed input) could
+/// still end in a NaN cost, so an infinite bound always runs to the end.
+struct BoundStop {
+  const DesignObjective& objective;
+  double bound;
+  double lb = 0.0;
+
+  bool operator()(const SimProgress& p) {
+    lb = objective.lower_bound(p);
+    return lb >= bound && lb < std::numeric_limits<double>::infinity();
   }
 };
 
-std::vector<Matrix> unpack_gains(const std::vector<double>& theta,
-                                 std::size_t m, std::size_t l) {
+}  // namespace
+
+DesignObjective::DesignObjective(const DesignSpec& spec,
+                                 const std::vector<sched::Interval>& intervals,
+                                 const DesignOptions& opts)
+    : spec_(spec),
+      sim_(spec.plant, intervals, opts.dense_dt),
+      eq_(equilibrium_at(spec.plant, spec.y0)),
+      stability_margin_(opts.stability_margin),
+      exact_feedforward_(opts.exact_feedforward) {
+  sim_opts_.r = spec.r;
+  sim_opts_.horizon = opts.horizon_factor * spec.smax;
+  sim_opts_.start_phase = sched::longest_interval(intervals);
+  sim_opts_.hold_first_interval = true;
+  sim_opts_.settle_band = spec.settle_band;
+  sim_opts_.settle_on_samples = opts.settle_on_samples;
+}
+
+std::vector<Matrix> DesignObjective::gains(
+    const std::vector<double>& theta) const {
+  const std::size_t m = sim_.num_phases();
+  const std::size_t l = spec_.plant.order();
   std::vector<Matrix> k(m, Matrix(1, l));
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t q = 0; q < l; ++q) k[j](0, q) = theta[j * l + q];
@@ -45,70 +82,109 @@ std::vector<Matrix> unpack_gains(const std::vector<double>& theta,
   return k;
 }
 
-/// Objective for the PSO: stability barrier, then worst-case settling time
-/// with a graded input-saturation penalty. Lower is better.
-double design_cost(const EvalContext& ctx, const std::vector<double>& theta) {
-  const std::size_t m = ctx.sim.num_phases();
-  const std::size_t l = ctx.spec.plant.order();
-  const std::vector<Matrix> k = unpack_gains(theta, m, l);
+std::optional<std::vector<double>> DesignObjective::feedforward(
+    const std::vector<Matrix>& k) const {
+  return exact_feedforward_
+             ? exact_feedforward(sim_.phases(), spec_.plant.c, k)
+             : per_interval_feedforward(sim_.phases(), spec_.plant.c, k);
+}
 
-  const double rho = linalg::spectral_radius(closed_loop_monodromy(
-      ctx.sim.phases(), k));
-  const double horizon = ctx.sim_opts.horizon;
-  if (rho >= 1.0 - ctx.opts.stability_margin) {
-    return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
-  }
-  const auto f = ctx.feedforward(k);
-  if (!f) {
-    return 1.0e3 * horizon * (1.0 + rho);
-  }
-  PhaseGains gains{k, *f};
-  const SimResult sr = ctx.sim.summarize(gains, ctx.x0, ctx.u_prev0,
-                                         ctx.sim_opts);
+double DesignObjective::run_cost(const SimResult& sr) const {
+  const double horizon = sim_opts_.horizon;
   double cost;
   if (sr.diverged) {
     cost = 5.0e2 * horizon;
   } else if (!sr.settled) {
-    cost = 2.0 * horizon + std::min(sr.tail_error, 1.0e3) * horizon;
+    cost = unsettled_floor(horizon) + std::min(sr.tail_error, 1.0e3) * horizon;
   } else {
-    // Settling time is piecewise constant in the gains; a small integral
-    // absolute error term breaks plateau ties toward robust centers.
-    cost = sr.settling_time + 0.05 * sr.iae;
+    cost = settled_cost(sr.settling_time, sr.iae);
   }
-  if (sr.u_max_abs > ctx.spec.umax) {
-    cost += 50.0 * horizon * (sr.u_max_abs / ctx.spec.umax - 1.0);
+  if (sr.u_max_abs > spec_.umax) {
+    cost += saturation_penalty(horizon, sr.u_max_abs, spec_.umax);
   }
   return cost;
 }
 
-DesignResult report_for(const EvalContext& ctx,
-                        const std::vector<double>& theta,
-                        int pso_evaluations) {
-  const std::size_t m = ctx.sim.num_phases();
-  const std::size_t l = ctx.spec.plant.order();
+// Proof that lower_bound never exceeds the final run_cost:
+// - every input only grows along the run: t, the settling lower bound
+//   (SettlingTracker::lower_bound), the IAE (a sum of terms >= 0) and
+//   max |u|; a final settling time, if any, is >= the settling bound;
+// - IEEE rounding is monotone, so settled_cost, min, saturation_penalty
+//   and + are non-decreasing in each argument when evaluated in floating
+//   point exactly as run_cost evaluates them;
+// - hence min(settled_cost(settle_lb, iae), floor) is <= the cost of a run
+//   that settles, and <= the floor, which an unsettled run's cost (floor
+//   plus a tail term >= 0) and a diverged run's 500 * horizon both reach;
+// - a penalty counted so far is <= the final penalty, and with no penalty
+//   so far the final one is > 0 or absent;
+// - a NaN input makes the bound NaN, and NaN >= bound is false, so a NaN
+//   never triggers a stop.
+double DesignObjective::lower_bound(const SimProgress& p) const {
+  const double horizon = sim_opts_.horizon;
+  double lb =
+      std::min(settled_cost(p.settle_lb, p.iae), unsettled_floor(horizon));
+  if (p.u_max_abs > spec_.umax) {
+    lb += saturation_penalty(horizon, p.u_max_abs, spec_.umax);
+  }
+  return lb;
+}
+
+double DesignObjective::operator()(const std::vector<double>& theta,
+                                   double bound) const {
+  const std::vector<Matrix> k = gains(theta);
+  const double rho =
+      linalg::spectral_radius(closed_loop_monodromy(sim_.phases(), k));
+  const double horizon = sim_opts_.horizon;
+  if (rho >= 1.0 - stability_margin_) {
+    return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
+  }
+  const auto f = feedforward(k);
+  if (!f) {
+    return 1.0e3 * horizon * (1.0 + rho);
+  }
+  BoundStop stop{*this, bound};
+  const SimResult sr = sim_.summarize(PhaseGains{k, *f}, eq_.x, eq_.u,
+                                      sim_opts_, std::ref(stop));
+  return sr.stopped ? stop.lb : run_cost(sr);
+}
+
+namespace {
+
+/// The metrics of the design with gains \p k. A numerically degenerate closed
+/// loop (QR non-convergence in the stability test, a runtime_error) is
+/// reported infeasible with an infinite spectral radius, as the design
+/// search penalizes it; logic_errors propagate.
+DesignResult report_for(const DesignObjective& objective,
+                        const std::vector<Matrix>& k, int pso_evaluations) {
   DesignResult res;
   res.pso_evaluations = pso_evaluations;
-  const std::vector<Matrix> k = unpack_gains(theta, m, l);
-  res.spectral_radius = linalg::spectral_radius(
-      closed_loop_monodromy(ctx.sim.phases(), k));
-  const auto f = ctx.feedforward(k);
-  if (!f || res.spectral_radius >= 1.0 - ctx.opts.stability_margin) {
+  try {
+    res.spectral_radius = linalg::spectral_radius(
+        closed_loop_monodromy(objective.simulator().phases(), k));
+  } catch (const std::runtime_error&) {
+    res.spectral_radius = std::numeric_limits<double>::infinity();
+  }
+  const auto f = res.spectral_radius < 1.0 - objective.stability_margin()
+                     ? objective.feedforward(k)
+                     : std::nullopt;
+  if (!f) {
     res.settled = false;
     res.feasible = false;
     res.settling_time = std::numeric_limits<double>::infinity();
-    res.gains = PhaseGains{k, std::vector<double>(m, 0.0)};
+    res.gains = PhaseGains{k, std::vector<double>(k.size(), 0.0)};
     return res;
   }
   res.gains = PhaseGains{k, *f};
-  const SimResult sr =
-      ctx.sim.summarize(res.gains, ctx.x0, ctx.u_prev0, ctx.sim_opts);
+  const Equilibrium& eq = objective.equilibrium();
+  const SimResult sr = objective.simulator().summarize(
+      res.gains, eq.x, eq.u, objective.sim_options());
+  const DesignSpec& spec = objective.spec();
   res.settling_time =
       sr.settled ? sr.settling_time : std::numeric_limits<double>::infinity();
   res.settled = sr.settled;
   res.u_max_abs = sr.u_max_abs;
-  res.feasible = sr.settled && !sr.diverged &&
-                 sr.settling_time <= ctx.spec.smax &&
-                 sr.u_max_abs <= ctx.spec.umax * (1.0 + 1e-9);
+  res.feasible = sr.settled && !sr.diverged && sr.settling_time <= spec.smax &&
+                 sr.u_max_abs <= spec.umax * (1.0 + 1e-9);
   return res;
 }
 
@@ -128,19 +204,8 @@ DesignResult design_controller(const DesignSpec& spec,
     throw std::invalid_argument("design_controller: no intervals");
   }
 
-  SwitchedSimulator sim(spec.plant, intervals, opts.dense_dt);
-  const Equilibrium eq = equilibrium_at(spec.plant, spec.y0);
-
-  sched::AppTiming at;
-  at.intervals = intervals;
-
-  EvalContext ctx{spec, sim, opts, eq.x, eq.u, SimOptions{}};
-  ctx.sim_opts.r = spec.r;
-  ctx.sim_opts.horizon = opts.horizon_factor * spec.smax;
-  ctx.sim_opts.start_phase = at.longest_interval();
-  ctx.sim_opts.hold_first_interval = true;
-  ctx.sim_opts.settle_band = spec.settle_band;
-  ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
+  const DesignObjective objective(spec, intervals, opts);
+  const SwitchedSimulator& sim = objective.simulator();
 
   // Stage A (paper's PSO-over-poles spirit): scan a grid of closed-loop
   // pole patterns on the average-rate surrogate, recover gains with
@@ -156,9 +221,10 @@ DesignResult design_controller(const DesignSpec& spec,
   const PhaseDynamics avg = discretize_interval(spec.plant, h_bar, tau_bar);
 
   // Candidate generation is serial and deterministic; the expensive part —
-  // design_cost, a full switched simulation per candidate — is batched
-  // below into index-addressed slots (parallel when a pool is given) and
-  // ranked in generation order, identical to evaluating inline.
+  // the cost, a full switched simulation per candidate (exact: the grid
+  // is ranked by value, so no bound) — is batched below into
+  // index-addressed slots (parallel when a pool is given) and ranked in
+  // generation order, identical to evaluating inline.
   std::vector<std::vector<double>> grid;
   for (double radius : opts.seed_pole_radii) {
     for (double angle : opts.seed_pole_angles) {
@@ -242,7 +308,8 @@ DesignResult design_controller(const DesignSpec& spec,
   std::vector<char> grid_failed(grid.size(), 0);
   core::parallel_for(pool, grid.size(), [&](std::size_t i) {
     try {
-      grid_cost[i] = design_cost(ctx, grid[i]);
+      grid_cost[i] =
+          objective(grid[i], std::numeric_limits<double>::infinity());
     } catch (const std::runtime_error&) {
       grid_failed[i] = 1;
     }
@@ -281,14 +348,14 @@ DesignResult design_controller(const DesignSpec& spec,
     hi[d] = center[d] + half;
   }
 
-  const auto objective = [&](const std::vector<double>& theta) {
+  const auto penalized = [&](const std::vector<double>& theta, double bound) {
     // Same policy as the seed grid: a numerically degenerate candidate
     // (QR non-convergence in the stability barrier) is penalized out of
     // contention, never fatal, while logic_errors propagate. The PSO
     // batch hook below routes through this exact callable so serial and
     // pooled runs stay bit-identical.
     try {
-      return design_cost(ctx, theta);
+      return objective(theta, bound);
     } catch (const std::runtime_error&) {
       return std::numeric_limits<double>::infinity();
     }
@@ -306,11 +373,12 @@ DesignResult design_controller(const DesignSpec& spec,
     // Fan each swarm generation across the pool; the swarm's serial
     // reduction keeps results bit-identical to the particle-by-particle
     // loop (the objective is pure, including its exception policy).
-    pso.batch_eval = [&objective,
+    pso.batch_eval = [&penalized,
                       pool](const std::vector<std::vector<double>>& xs,
+                            const std::vector<double>& bounds,
                             std::vector<double>& costs) {
       core::parallel_for(pool, xs.size(), [&](std::size_t i) {
-        costs[i] = objective(xs[i]);
+        costs[i] = penalized(xs[i], bounds[i]);
       });
     };
   }
@@ -324,7 +392,7 @@ DesignResult design_controller(const DesignSpec& spec,
   }
   for (int restart = 0; restart < std::max(1, opts.pso_restarts); ++restart) {
     pso.seed = opts.pso.seed + 7919 * static_cast<std::uint64_t>(restart);
-    const opt::PsoResult pr = opt::pso_minimize(objective, lo, hi, pso,
+    const opt::PsoResult pr = opt::pso_minimize(penalized, lo, hi, pso,
                                                 restart == 0 ? seeds
                                                              : std::vector<std::vector<double>>{best});
     evals += pr.evaluations;
@@ -339,10 +407,10 @@ DesignResult design_controller(const DesignSpec& spec,
   opt::PatternSearchOptions ps;
   ps.initial_step = 0.2;
   ps.max_evaluations = 3000;
-  const opt::PatternSearchResult pol = opt::pattern_search(objective, best, ps);
+  const opt::PatternSearchResult pol = opt::pattern_search(penalized, best, ps);
   evals += pol.evaluations;
   if (pol.cost < best_cost) best = pol.x;
-  return report_for(ctx, best, evals);
+  return report_for(objective, objective.gains(best), evals);
 }
 
 std::vector<DesignResult> design_batch(
@@ -363,28 +431,10 @@ DesignResult evaluate_gains(const DesignSpec& spec,
                             const PhaseGains& gains,
                             const DesignOptions& opts) {
   spec.plant.validate();
-  const std::size_t l = spec.plant.order();
-  const std::size_t m = intervals.size();
-  if (gains.k.size() != m) {
+  if (gains.k.size() != intervals.size()) {
     throw std::invalid_argument("evaluate_gains: gain/interval mismatch");
   }
-  SwitchedSimulator sim(spec.plant, intervals, opts.dense_dt);
-  const Equilibrium eq = equilibrium_at(spec.plant, spec.y0);
-  sched::AppTiming at;
-  at.intervals = intervals;
-  EvalContext ctx{spec, sim, opts, eq.x, eq.u, SimOptions{}};
-  ctx.sim_opts.r = spec.r;
-  ctx.sim_opts.horizon = opts.horizon_factor * spec.smax;
-  ctx.sim_opts.start_phase = at.longest_interval();
-  ctx.sim_opts.hold_first_interval = true;
-  ctx.sim_opts.settle_band = spec.settle_band;
-  ctx.sim_opts.settle_on_samples = opts.settle_on_samples;
-
-  std::vector<double> theta(m * l);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t q = 0; q < l; ++q) theta[j * l + q] = gains.k[j](0, q);
-  }
-  return report_for(ctx, theta, 0);
+  return report_for(DesignObjective(spec, intervals, opts), gains.k, 0);
 }
 
 }  // namespace catsched::control

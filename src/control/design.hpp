@@ -53,6 +53,55 @@ struct DesignOptions {
   bool scale_budget_with_dims = true;
 };
 
+/// The objective design_controller minimizes over one schedule's timing:
+/// stability barrier, then the worst-case step response (reference step
+/// at the start of the longest interval, the paper's conservative phase)
+/// scored by settling time with a graded input-saturation penalty. Lower
+/// is better. A point theta is the gains flattened phase-major
+/// (theta[j * l + q] = K_j(0, q)).
+class DesignObjective {
+public:
+  /// \throws std::invalid_argument on bad plant/intervals.
+  DesignObjective(const DesignSpec& spec,
+                  const std::vector<sched::Interval>& intervals,
+                  const DesignOptions& opts);
+
+  /// Cost of theta under \p bound, per the opt::Objective contract: the
+  /// exact cost when it is below the bound; otherwise the switched
+  /// simulation may stop early and return its lower bound, which is then
+  /// >= bound. An infinite bound always gets the exact cost.
+  /// \throws std::runtime_error when the stability test's eigenvalue
+  ///         iteration does not converge (a degenerate closed loop).
+  double operator()(const std::vector<double>& theta, double bound) const;
+
+  /// Cost of a finished simulation of the worst-case step response.
+  double run_cost(const SimResult& sr) const;
+  /// Lower bound on run_cost of every continuation of a run, from its
+  /// metrics so far (the early-stop test of operator()).
+  double lower_bound(const SimProgress& p) const;
+
+  /// Per-phase gains of theta.
+  std::vector<Matrix> gains(const std::vector<double>& theta) const;
+  /// Feedforward for gains k (exact or per-interval, per the options);
+  /// std::nullopt when singular.
+  std::optional<std::vector<double>> feedforward(
+      const std::vector<Matrix>& k) const;
+
+  const DesignSpec& spec() const noexcept { return spec_; }
+  const SwitchedSimulator& simulator() const noexcept { return sim_; }
+  const Equilibrium& equilibrium() const noexcept { return eq_; }
+  const SimOptions& sim_options() const noexcept { return sim_opts_; }
+  double stability_margin() const noexcept { return stability_margin_; }
+
+private:
+  DesignSpec spec_;
+  SwitchedSimulator sim_;
+  Equilibrium eq_;
+  SimOptions sim_opts_;
+  double stability_margin_;
+  bool exact_feedforward_;
+};
+
 /// Outcome of one holistic design.
 struct DesignResult {
   PhaseGains gains;
@@ -98,7 +147,11 @@ std::vector<DesignResult> design_batch(
     core::ThreadPool* pool = nullptr);
 
 /// Evaluate a fixed set of gains against a spec/timing (used by ablation
-/// benches and tests): same metrics as design_controller, no search.
+/// benches, the robustness study and tests): same metrics as
+/// design_controller, no search. Gains whose closed loop defeats the
+/// eigenvalue iteration are reported infeasible with an infinite spectral
+/// radius, as the design search penalizes them.
+/// \throws std::invalid_argument on bad plant/intervals or gain shapes.
 DesignResult evaluate_gains(const DesignSpec& spec,
                             const std::vector<sched::Interval>& intervals,
                             const PhaseGains& gains,

@@ -193,8 +193,8 @@ SwitchedSimulator::SwitchedSimulator(const ContinuousLTI& plant,
 
 template <bool kTrace>
 SimResult SwitchedSimulator::run(const PhaseGains& gains, const Matrix& x0,
-                                 double u_prev0,
-                                 const SimOptions& opts) const {
+                                 double u_prev0, const SimOptions& opts,
+                                 const StopTest& stop) const {
   check_gain_dims(phases_, gains.k);
   if (gains.f.size() != phases_.size()) {
     throw std::invalid_argument("simulate: F count != phase count");
@@ -318,6 +318,12 @@ SimResult SwitchedSimulator::run(const PhaseGains& gains, const Matrix& x0,
     }
     if constexpr (kTrace) res.u.push_back(u_new);
     res.u_max_abs = std::max(res.u_max_abs, std::abs(u_new));
+    if constexpr (!kTrace) {
+      if (stop && stop({t, settle.lower_bound(t), res.iae, res.u_max_abs})) {
+        res.stopped = true;
+        break;
+      }
+    }
     if (!run_segment(dense_[phase].before, u_prev)) break;
     if (!run_segment(dense_[phase].after, u_new)) break;
     u_prev = u_new;
@@ -336,13 +342,14 @@ SimResult SwitchedSimulator::run(const PhaseGains& gains, const Matrix& x0,
 SimResult SwitchedSimulator::simulate(const PhaseGains& gains,
                                       const Matrix& x0, double u_prev0,
                                       const SimOptions& opts) const {
-  return run<true>(gains, x0, u_prev0, opts);
+  return run<true>(gains, x0, u_prev0, opts, {});
 }
 
 SimResult SwitchedSimulator::summarize(const PhaseGains& gains,
                                        const Matrix& x0, double u_prev0,
-                                       const SimOptions& opts) const {
-  return run<false>(gains, x0, u_prev0, opts);
+                                       const SimOptions& opts,
+                                       const StopTest& stop) const {
+  return run<false>(gains, x0, u_prev0, opts, stop);
 }
 
 SettlingInfo settling_time(const std::vector<double>& t,

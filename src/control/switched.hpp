@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -89,7 +90,23 @@ struct SimResult {
   bool diverged = false;
   double tail_error = 0.0;  ///< mean |y-r|/|r| over the last 20% of horizon
   double iae = 0.0;  ///< integral of |y-r|/|r| over the dense trajectory
+  bool stopped = false;  ///< summarize() ended the run early on its stop
+                         ///< test; the metrics cover only the run so far
 };
+
+/// The metrics of a run so far, at a sensing instant (after that instant's
+/// sample and input): what a stop test may read. Every field only grows
+/// along the run, so each bounds its final value from below.
+struct SimProgress {
+  double t = 0.0;          ///< current time
+  double settle_lb = 0.0;  ///< lower bound on the final settling time
+                           ///< (SettlingTracker::lower_bound)
+  double iae = 0.0;        ///< IAE so far
+  double u_max_abs = 0.0;  ///< max |u| so far, this instant's input included
+};
+
+/// Early-stop test for summarize(): return true to end the run.
+using StopTest = std::function<bool(const SimProgress&)>;
 
 /// Simulator for one application's switched closed loop. Discretizes the
 /// dense-output substeps once (they depend only on plant and timing), so a
@@ -113,9 +130,13 @@ public:
 
   /// Same run as simulate() without recording the traces: every metric of
   /// the result is bit-identical, the t/y/u/ts/ys vectors stay empty. This
-  /// is the per-candidate objective path of the design search.
+  /// is the per-candidate objective path of the design search. A non-empty
+  /// \p stop is asked at every sensing instant; once it returns true the
+  /// run ends there with SimResult::stopped set and partial metrics.
+  /// simulate() never stops early.
   SimResult summarize(const PhaseGains& gains, const Matrix& x0,
-                      double u_prev0, const SimOptions& opts) const;
+                      double u_prev0, const SimOptions& opts,
+                      const StopTest& stop = {}) const;
 
 private:
   struct Segment {
@@ -139,7 +160,7 @@ private:
   /// traces only when kTrace is set.
   template <bool kTrace>
   SimResult run(const PhaseGains& gains, const Matrix& x0, double u_prev0,
-                const SimOptions& opts) const;
+                const SimOptions& opts, const StopTest& stop) const;
 };
 
 /// Settling time of a sampled trajectory: the earliest time t_s such that
@@ -168,6 +189,14 @@ public:
   SettlingInfo info() const noexcept {
     if (violated_) return {std::numeric_limits<double>::infinity(), false};
     return {time_, true};
+  }
+
+  /// Lower bound on the settling time of any continuation, given the time
+  /// \p now of the latest observed sample. A band-abiding latest sample
+  /// keeps time_ unless a later violation moves it later; a violating one
+  /// leaves the run unsettled or settling at a later sample's time.
+  double lower_bound(double now) const noexcept {
+    return violated_ ? now : time_;
   }
 
 private:

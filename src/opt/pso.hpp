@@ -25,14 +25,16 @@ struct PsoOptions {
   int stall_iterations = 25;
   double stall_tolerance = 1e-9;
   /// Optional batched objective: fill costs[i] with the objective at
-  /// positions[i] (costs is pre-sized to positions.size()). When set, every
-  /// swarm generation is evaluated through this hook instead of calling the
+  /// positions[i] under bounds[i] (see Objective for the bound contract;
+  /// costs is pre-sized to positions.size()). When set, every swarm
+  /// generation is evaluated through this hook instead of calling the
   /// scalar objective particle-by-particle — the controller design uses it
   /// to fan particles across a thread pool. The swarm update itself never
   /// changes: costs feed the exact same serial pbest/gbest reduction, so a
-  /// batch evaluator that returns f(positions[i]) exactly (e.g. the same
+  /// batch evaluator that returns f(positions[i], bounds[i]) (e.g. the same
   /// pure objective run on worker threads) leaves results bit-identical.
   std::function<void(const std::vector<std::vector<double>>& positions,
+                     const std::vector<double>& bounds,
                      std::vector<double>& costs)>
       batch_eval;
 };
@@ -45,8 +47,15 @@ struct PsoResult {
   int iterations_run = 0;
 };
 
-/// Objective: R^d -> R, minimized.
-using Objective = std::function<double(const std::vector<double>&)>;
+/// Objective: R^d -> R, minimized, evaluated under a bound. The caller
+/// decides only by `f(x, bound) < bound`, so once the exact value is known
+/// not to be below the bound, the objective may stop early and return any
+/// value >= bound; below the bound it must return the exact value. An
+/// infinite bound asks for the exact value. pso_minimize passes each
+/// particle's best cost so far (never below the global best, so the bound
+/// also covers the global-best test); pattern_search passes its incumbent.
+using Objective =
+    std::function<double(const std::vector<double>& x, double bound)>;
 
 /// Minimize \p f over the box [lo, hi]^d. Seed positions (clamped to the
 /// box) are injected as the first particles; remaining particles are drawn

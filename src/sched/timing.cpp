@@ -185,12 +185,16 @@ double AppTiming::h_max() const {
   return best;
 }
 
-std::size_t AppTiming::longest_interval() const {
+std::size_t longest_interval(const std::vector<Interval>& intervals) {
   std::size_t best = 0;
   for (std::size_t j = 1; j < intervals.size(); ++j) {
     if (intervals[j].h > intervals[best].h) best = j;
   }
   return best;
+}
+
+std::size_t AppTiming::longest_interval() const {
+  return sched::longest_interval(intervals);
 }
 
 double AppTiming::period() const {

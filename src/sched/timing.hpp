@@ -73,6 +73,10 @@ struct Interval {
   bool operator==(const Interval&) const = default;
 };
 
+/// Index of the interval with the longest h, the first of equals (the idle
+/// gap; the paper's worst-case settling phase starts here). 0 when empty.
+std::size_t longest_interval(const std::vector<Interval>& intervals);
+
 /// All control intervals of one application across a schedule period, in
 /// execution order of its tasks (cyclic).
 struct AppTiming {
@@ -80,8 +84,7 @@ struct AppTiming {
 
   /// Longest sampling period h_i^max (idle-time constraint, eq. (4)).
   double h_max() const;
-  /// Index of the interval with the longest h (the idle gap; the paper's
-  /// worst-case settling phase starts here).
+  /// sched::longest_interval(intervals).
   std::size_t longest_interval() const;
   /// Sum of h over intervals == schedule period.
   double period() const;

@@ -5,15 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "control/c2d.hpp"
 #include "control/design.hpp"
 #include "control/lti.hpp"
 #include "control/pole_place.hpp"
 #include "control/switched.hpp"
+#include "core/case_study.hpp"
 #include "linalg/eig.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/lu.hpp"
+#include "sched/schedule.hpp"
+#include "sched/timing.hpp"
 
 using namespace catsched;
 using namespace catsched::control;
@@ -480,6 +484,36 @@ TEST(Design, EvaluateGainsConsistentWithDesign) {
   const DesignResult re = evaluate_gains(spec, ivs, res.gains, opts);
   EXPECT_NEAR(re.settling_time, res.settling_time, 1e-9);
   EXPECT_NEAR(re.u_max_abs, res.u_max_abs, 1e-9);
+}
+
+// Gains whose closed loop defeats the eigenvalue iteration are reported
+// infeasible, with an infinite spectral radius, instead of throwing: the
+// same policy the design search applies to such candidates.
+TEST(Design, EvaluateGainsReportsDegenerateLoopInfeasible) {
+  const core::SystemModel sys = core::date18_case_study();
+  const auto timing = sched::derive_timing(sys.analyze_wcets(),
+                                           sched::PeriodicSchedule({3, 2, 3}));
+  const core::Application& a = sys.apps[0];
+  DesignSpec spec;
+  spec.plant = a.plant;
+  spec.umax = a.umax;
+  spec.r = a.r;
+  spec.y0 = a.y0;
+  spec.smax = a.smax;
+  const auto& ivs = timing.apps[0].intervals;
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), 1e300}) {
+    SCOPED_TRACE(v);
+    PhaseGains g{std::vector<Matrix>(ivs.size(), Matrix{{v, -1e-6}}),
+                 std::vector<double>(ivs.size(), 0.0)};
+    DesignResult r;
+    ASSERT_NO_THROW(r = evaluate_gains(spec, ivs, g,
+                                       core::date18_design_options()));
+    EXPECT_FALSE(r.feasible);
+    EXPECT_FALSE(r.settled);
+    EXPECT_EQ(r.spectral_radius, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(r.settling_time, std::numeric_limits<double>::infinity());
+  }
 }
 
 TEST(Design, InfeasibleWhenDeadlineImpossible) {

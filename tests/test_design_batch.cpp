@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "control/design.hpp"
@@ -153,7 +156,7 @@ TEST(DesignBatch, PooledEvaluatorIsBitIdenticalToSerial) {
 // so any batch evaluator returning f(positions[i]) exactly — regardless of
 // the order it fills the slots — leaves the optimum bit-identical.
 TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
-  const auto rosenbrock = [](const std::vector<double>& x) {
+  const auto rosenbrock = [](const std::vector<double>& x, double /*bound*/) {
     double s = 0.0;
     for (std::size_t i = 0; i + 1 < x.size(); ++i) {
       const double a = x[i + 1] - x[i] * x[i];
@@ -174,8 +177,11 @@ TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
   // Reverse-order fill: same values, opposite completion order.
   opt::PsoOptions batched = base;
   batched.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                           const std::vector<double>& bounds,
                            std::vector<double>& costs) {
-    for (std::size_t i = xs.size(); i-- > 0;) costs[i] = rosenbrock(xs[i]);
+    for (std::size_t i = xs.size(); i-- > 0;) {
+      costs[i] = rosenbrock(xs[i], bounds[i]);
+    }
   };
   const auto rev = opt::pso_minimize(rosenbrock, lo, hi, batched);
   EXPECT_EQ(plain.x, rev.x);
@@ -187,14 +193,73 @@ TEST(DesignBatch, PsoBatchHookIsOrderInvariant) {
     ThreadPool pool(threads);
     opt::PsoOptions pooled = base;
     pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                            const std::vector<double>& bounds,
                             std::vector<double>& costs) {
-      pool.parallel_for(xs.size(),
-                        [&](std::size_t i) { costs[i] = rosenbrock(xs[i]); });
+      pool.parallel_for(xs.size(), [&](std::size_t i) {
+        costs[i] = rosenbrock(xs[i], bounds[i]);
+      });
     };
     const auto par = opt::pso_minimize(rosenbrock, lo, hi, pooled);
     EXPECT_EQ(plain.x, par.x);
     EXPECT_EQ(plain.cost, par.cost);
     EXPECT_EQ(plain.evaluations, par.evaluations);
+  }
+}
+
+// Pooled generations under the bound contract: an objective that answers
+// exactly the bound (or +inf) whenever its exact value is not below it must
+// leave the swarm's output bit-identical to the exact objective's at every
+// pool width, on a sphere and on Rosenbrock.
+TEST(DesignBatch, PooledPsoOutputsIndependentOfCutValues) {
+  const auto sphere = [](const std::vector<double>& x) {
+    double s = 0.0;
+    for (double v : x) s += (v - 0.7) * (v - 0.7);
+    return s;
+  };
+  const auto rosenbrock = [](const std::vector<double>& x) {
+    double s = 0.0;
+    for (std::size_t i = 0; i + 1 < x.size(); ++i) {
+      const double a = x[i + 1] - x[i] * x[i];
+      const double b = 1.0 - x[i];
+      s += 100.0 * a * a + b * b;
+    }
+    return s;
+  };
+  const std::vector<double> lo(4, -2.0);
+  const std::vector<double> hi(4, 2.0);
+  opt::PsoOptions base;
+  base.particles = 12;
+  base.iterations = 40;
+  base.seed = 99;
+  const double inf = std::numeric_limits<double>::infinity();
+  using Fn = double (*)(const std::vector<double>&);
+  for (const Fn f : {Fn(sphere), Fn(rosenbrock)}) {
+    const auto exact = opt::pso_minimize(
+        [&](const std::vector<double>& x, double) { return f(x); }, lo, hi,
+        base);
+    for (const bool at_bound : {true, false}) {
+      const auto cut = [&](const std::vector<double>& x, double bound) {
+        const double v = f(x);
+        return v < bound ? v : (at_bound ? bound : inf);
+      };
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        ThreadPool pool(threads);
+        opt::PsoOptions pooled = base;
+        pooled.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                                const std::vector<double>& bounds,
+                                std::vector<double>& costs) {
+          pool.parallel_for(xs.size(), [&](std::size_t i) {
+            costs[i] = cut(xs[i], bounds[i]);
+          });
+        };
+        const auto got = opt::pso_minimize(cut, lo, hi, pooled);
+        EXPECT_EQ(exact.x, got.x);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(exact.cost),
+                  std::bit_cast<std::uint64_t>(got.cost));
+        EXPECT_EQ(exact.evaluations, got.evaluations);
+        EXPECT_EQ(exact.iterations_run, got.iterations_run);
+      }
+    }
   }
 }
 

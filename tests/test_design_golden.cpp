@@ -13,6 +13,10 @@
 /// systems on their round-robin schedule under fuzz_design_options()
 /// (sampled settling).
 ///
+/// Each record is checked serially and with the designs fanned across a
+/// pool of 1 and of 4 workers (the PSO generations and seed grids then
+/// run on the workers, each particle under its own bound).
+///
 /// On a mismatch the test prints the observed values; re-recording them is
 /// only legitimate for a change that is meant to alter designs.
 
@@ -22,12 +26,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "control/design.hpp"
 #include "core/case_study.hpp"
 #include "core/evaluator.hpp"
+#include "core/parallel.hpp"
 #include "sched/schedule.hpp"
 #include "testgen/generator.hpp"
 #include "testgen/invariants.hpp"
@@ -116,6 +122,14 @@ void expect_golden(const Golden& g, const Observed& o) {
   }
 }
 
+/// Serial (0: no pool), then pools of 1 and 4 workers.
+constexpr std::size_t kThreadCounts[] = {0, 1, 4};
+
+std::unique_ptr<core::ThreadPool> make_pool(std::size_t threads) {
+  if (threads == 0) return nullptr;
+  return std::make_unique<core::ThreadPool>(threads);
+}
+
 /// The reduced case-study budget of the end-to-end benchmark: seconds per
 /// exhaustive query instead of tens of seconds.
 control::DesignOptions reduced_case_study_options() {
@@ -136,10 +150,14 @@ TEST(DesignGolden, CaseStudyDenseSettlingBitsArePinned) {
   const std::vector<int> schedules[] = {{3, 2, 3}, {1, 1, 1}};
   const control::DesignOptions opts = reduced_case_study_options();
   ASSERT_FALSE(opts.settle_on_samples);
-  core::Evaluator ev(core::date18_case_study(), opts);
-  for (std::size_t i = 0; i < 2; ++i) {
-    expect_golden(golden[i],
-                  observe(ev, sched::PeriodicSchedule(schedules[i])));
+  for (const std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::unique_ptr<core::ThreadPool> pool = make_pool(threads);
+    core::Evaluator ev(core::date18_case_study(), opts, pool.get());
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_golden(golden[i],
+                    observe(ev, sched::PeriodicSchedule(schedules[i])));
+    }
   }
 }
 
@@ -168,10 +186,14 @@ TEST(DesignGolden, GeneratedSystemsSampledSettlingBitsArePinned) {
         opts.dense_dt,
         opts.horizon_factor * max_smax /
             static_cast<double>(testgen::InvariantOptions{}.dense_steps));
-    core::Evaluator ev(sys.model, opts);
-    expect_golden(golden[seed - 1],
-                  observe(ev, sched::PeriodicSchedule(std::vector<int>(
-                                  sys.model.apps.size(), 1))));
+    for (const std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      std::unique_ptr<core::ThreadPool> pool = make_pool(threads);
+      core::Evaluator ev(sys.model, opts, pool.get());
+      expect_golden(golden[seed - 1],
+                    observe(ev, sched::PeriodicSchedule(std::vector<int>(
+                                    sys.model.apps.size(), 1))));
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "opt/discrete_search.hpp"
 #include "opt/pattern_search.hpp"
@@ -13,13 +16,13 @@ using namespace catsched::opt;
 
 namespace {
 
-double sphere(const std::vector<double>& x) {
+double sphere(const std::vector<double>& x, double /*bound*/) {
   double s = 0.0;
   for (double v : x) s += (v - 1.5) * (v - 1.5);
   return s;
 }
 
-double rosenbrock(const std::vector<double>& x) {
+double rosenbrock(const std::vector<double>& x, double /*bound*/) {
   double s = 0.0;
   for (std::size_t i = 0; i + 1 < x.size(); ++i) {
     s += 100.0 * std::pow(x[i + 1] - x[i] * x[i], 2) + std::pow(1 - x[i], 2);
@@ -77,6 +80,116 @@ TEST(Pso, RejectsBadBounds) {
                std::invalid_argument);
   EXPECT_THROW(pso_minimize(sphere, {1.0}, {-1.0}, PsoOptions{}),
                std::invalid_argument);
+}
+
+// ------------------------------------------------ the objective's bound
+
+namespace {
+
+/// An objective that exploits the bound contract as far as it allows: the
+/// exact value below the bound, and otherwise exactly the bound
+/// (kAtBound) or +inf (kInfinity). It counts the evaluations it cut.
+enum class Cut { kAtBound, kInfinity };
+
+struct Adversary {
+  double (*exact)(const std::vector<double>&, double);
+  Cut cut;
+  int* cuts;
+
+  double operator()(const std::vector<double>& x, double bound) const {
+    const double v = exact(x, std::numeric_limits<double>::infinity());
+    if (v < bound) return v;
+    ++*cuts;
+    return cut == Cut::kAtBound ? bound : std::numeric_limits<double>::infinity();
+  }
+};
+
+void expect_same(const PsoResult& a, const PsoResult& b) {
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
+            std::bit_cast<std::uint64_t>(b.cost));
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.iterations_run, b.iterations_run);
+}
+
+}  // namespace
+
+// Any objective honouring the contract -- exact below the bound, anything
+// at or above it otherwise -- leaves every optimizer output bit-identical,
+// serially and through batch_eval.
+TEST(ObjectiveBound, PsoOutputsIndependentOfCutValues) {
+  for (auto* f : {&sphere, &rosenbrock}) {
+    PsoOptions opts;
+    opts.particles = 16;
+    opts.iterations = 60;
+    opts.seed = 77;
+    const std::vector<double> lo(3, -2.0);
+    const std::vector<double> hi(3, 2.0);
+    const PsoResult exact = pso_minimize(f, lo, hi, opts, {{0.5, 0.5, 0.5}});
+    for (const Cut cut : {Cut::kAtBound, Cut::kInfinity}) {
+      int cuts = 0;
+      const Adversary adv{f, cut, &cuts};
+      expect_same(exact, pso_minimize(adv, lo, hi, opts, {{0.5, 0.5, 0.5}}));
+      PsoOptions batched = opts;
+      batched.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                               const std::vector<double>& bounds,
+                               std::vector<double>& costs) {
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+          costs[i] = adv(xs[i], bounds[i]);
+        }
+      };
+      expect_same(exact,
+                  pso_minimize(adv, lo, hi, batched, {{0.5, 0.5, 0.5}}));
+      EXPECT_GT(cuts, exact.evaluations / 2);  // most candidates lose
+    }
+  }
+}
+
+TEST(ObjectiveBound, PatternSearchOutputsIndependentOfCutValues) {
+  for (auto* f : {&sphere, &rosenbrock}) {
+    const PatternSearchResult exact = pattern_search(f, {-1.0, 1.0, 0.3});
+    for (const Cut cut : {Cut::kAtBound, Cut::kInfinity}) {
+      int cuts = 0;
+      const PatternSearchResult got =
+          pattern_search(Adversary{f, cut, &cuts}, {-1.0, 1.0, 0.3});
+      EXPECT_EQ(exact.x, got.x);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(exact.cost),
+                std::bit_cast<std::uint64_t>(got.cost));
+      EXPECT_EQ(exact.evaluations, got.evaluations);
+      EXPECT_GT(cuts, 0);
+    }
+  }
+}
+
+// The bounds handed out are the ones the contract names: +inf for a
+// particle's first evaluation, then its best cost so far; pattern search
+// starts under +inf and then bounds by its incumbent.
+TEST(ObjectiveBound, BoundsAreBestSoFar) {
+  PsoOptions opts;
+  opts.particles = 4;
+  opts.iterations = 5;
+  opts.stall_iterations = 0;
+  std::vector<double> pbest(4, std::numeric_limits<double>::infinity());
+  opts.batch_eval = [&](const std::vector<std::vector<double>>& xs,
+                        const std::vector<double>& bounds,
+                        std::vector<double>& costs) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(bounds[i], pbest[i]);
+      costs[i] = sphere(xs[i], bounds[i]);
+      pbest[i] = std::min(pbest[i], costs[i]);
+    }
+  };
+  pso_minimize(sphere, {-5, -5}, {5, 5}, opts);
+
+  double incumbent = std::numeric_limits<double>::infinity();
+  pattern_search(
+      [&](const std::vector<double>& x, double bound) {
+        EXPECT_EQ(bound, incumbent);
+        const double v = sphere(x, bound);
+        incumbent = std::min(incumbent, v);
+        return v;
+      },
+      {0.0, 0.0});
 }
 
 // --------------------------------------------------------- pattern search

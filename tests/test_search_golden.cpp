@@ -1,11 +1,11 @@
 /// \file test_search_golden.cpp
 /// \brief Golden bit patterns of the searches: a lone hybrid_search,
-///        hybrid_search_multistart, portfolio_search and interleaved_search
-///        on real evaluators, compared as raw IEEE-754 bits against digests
-///        recorded from the reference implementation. No tolerances: a
-///        refactor of a search loop or of the evaluator's neighbor path
-///        must leave every accepted path, best point, Pall bit and
-///        evaluation count in place.
+///        hybrid_search_multistart, portfolio_search, interleaved_search
+///        and exhaustive_codesign on real evaluators, compared as raw
+///        IEEE-754 bits against digests recorded from the reference
+///        implementation. No tolerances: a refactor of a search loop or
+///        of the evaluator's neighbor path must leave every accepted path,
+///        best point, Pall bit and evaluation count in place.
 ///
 /// Coverage: the DATE'18 case study at a reduced PSO budget and eight
 /// generated systems under fuzz_design_options(), each run serially and on
@@ -13,12 +13,12 @@
 /// systems are observed twice: on the binary cold/warm WCET model and on a
 /// context-WCET evaluator, so both branches of the evaluator's neighbor
 /// timing derivation are pinned (the context run covers the lone hybrid
-/// walk and the interleaved search; its race digests stay 0). Only fields that are deterministic at
-/// every thread count enter the digests: the multi-start per-run
-/// `new_evaluations` split depends on which run wins a raced memo slot, so
-/// only its sum is pinned, and which caller completes a shared schedule
-/// first decides whether it counts as a neighbor evaluation, so that
-/// counter is left out.
+/// walk, the interleaved search and the exhaustive scan; its race digests
+/// stay 0). Only fields that are deterministic at every thread count
+/// enter the digests: the multi-start per-run `new_evaluations` split
+/// depends on which run wins a raced memo slot, so only its sum is pinned,
+/// and which caller completes a shared schedule first decides whether it
+/// counts as a neighbor evaluation, so that counter is left out.
 ///
 /// On a mismatch the test prints the observed digests; re-recording them
 /// is only legitimate for a change that is meant to alter search results.
@@ -103,6 +103,7 @@ struct Observed {
   std::uint64_t multistart = 0;
   std::uint64_t portfolio = 0;
   std::uint64_t interleaved = 0;
+  std::uint64_t exhaustive = 0;
   bool operator==(const Observed&) const = default;
 };
 
@@ -226,6 +227,27 @@ Observed observe(const Case& c, std::size_t threads) {
     d.add(ev.schedule_evaluations());
     o.interleaved = d.value();
   }
+  {
+    // Exhaustive scan of the region the hybrid searches walk, last so the
+    // evaluator counters in the interleaved digest stay its own.
+    const core::ExhaustiveCodesignResult ex =
+        core::exhaustive_codesign(ev, c.hybrid, pool.get());
+    Digest d;
+    d.add(ex.found);
+    d.add(ex.best_schedule.to_string());
+    d.add(ex.details.best);
+    d.add(ex.details.best_value);
+    d.add(ex.details.enumerated);
+    d.add(ex.details.control_feasible);
+    d.add(static_cast<std::uint64_t>(ex.details.all.size()));
+    for (const auto& [point, out] : ex.details.all) {
+      d.add(point);
+      d.add(out.value);
+      d.add(out.feasible);
+    }
+    d.add(ex.details.unique_evaluations);
+    o.exhaustive = d.value();
+  }
   return o;
 }
 
@@ -243,13 +265,15 @@ void expect_golden(const Golden& g, const Case& c) {
     EXPECT_EQ(o.multistart, g.digests.multistart);
     EXPECT_EQ(o.portfolio, g.digests.portfolio);
     EXPECT_EQ(o.interleaved, g.digests.interleaved);
+    EXPECT_EQ(o.exhaustive, g.digests.exhaustive);
     if (!(o == g.digests)) {
       std::printf("    {\"%s\",\n     {0x%016llxull, 0x%016llxull, "
-                  "0x%016llxull,\n      0x%016llxull}},\n",
+                  "0x%016llxull,\n      0x%016llxull, 0x%016llxull}},\n",
                   g.label, static_cast<unsigned long long>(o.hybrid),
                   static_cast<unsigned long long>(o.multistart),
                   static_cast<unsigned long long>(o.portfolio),
-                  static_cast<unsigned long long>(o.interleaved));
+                  static_cast<unsigned long long>(o.interleaved),
+                  static_cast<unsigned long long>(o.exhaustive));
     }
   }
 }
@@ -258,7 +282,7 @@ TEST(SearchGolden, CaseStudyDigestsArePinned) {
   const Golden golden{
       "case study",
       {0x121f009096ab788bull, 0x6c9b4a86deef933eull, 0x2d8a0bbd8919128aull,
-       0x68787dec7eef4e31ull}};
+       0x68787dec7eef4e31ull, 0x66f459142b825d52ull}};
   Case c;
   c.model = core::date18_case_study();
   c.design = core::date18_design_options();
@@ -310,28 +334,28 @@ TEST(SearchGolden, GeneratedSystemDigestsArePinned) {
   const Golden golden[] = {
       {"seed 1",
        {0x05928b5ddde7f3e9ull, 0x2ca3c397bd771a56ull, 0x3b5d50dafeef4c04ull,
-        0x80110821a9b3bd8bull}},
+        0x80110821a9b3bd8bull, 0xab166c33739e4d41ull}},
       {"seed 2",
        {0x5d9e447a836eb047ull, 0x665ab6b6479720a8ull, 0xe1236d74c7353196ull,
-        0x4cc67862ffcd3c6dull}},
+        0x4cc67862ffcd3c6dull, 0xde38eeaa1f22d165ull}},
       {"seed 3",
        {0x62f22ef8ff6c07faull, 0x354182b86db62a65ull, 0xe5253ce4868ae17cull,
-        0x2774ecbff6613557ull}},
+        0x2774ecbff6613557ull, 0x8b063f4476f3c09eull}},
       {"seed 4",
        {0x7dfbf6ca36739986ull, 0x0afeb337c6337f2bull, 0x0c88d7d0493520f8ull,
-        0xd32f0be04555879aull}},
+        0xd32f0be04555879aull, 0x46d8ea9bee7d218bull}},
       {"seed 5",
        {0x09378026188f016bull, 0xaebb373826cb8fb9ull, 0xcb03a0caf7bfcd3eull,
-        0xdd8d7c10f823fba2ull}},
+        0xdd8d7c10f823fba2ull, 0x82990ef4658faeebull}},
       {"seed 6",
        {0x0c105bdf3db466f5ull, 0x970b2d4457f5300cull, 0x4c57990f3882a0c5ull,
-        0x0ac7296ab529b5f5ull}},
+        0x0ac7296ab529b5f5ull, 0x609296f721a1de9dull}},
       {"seed 7",
        {0x4d835a7cf835be3aull, 0x780924183deacc7eull, 0x0856c4833e3362ebull,
-        0x0efd95012f7c52a4ull}},
+        0x0efd95012f7c52a4ull, 0xcb74c90981469645ull}},
       {"seed 8",
        {0x219026386e760f3aull, 0xa1b6f9c29997c312ull, 0xd2b2457914b0eb46ull,
-        0x08ace36cf42a5062ull}},
+        0x08ace36cf42a5062ull, 0x700d54bb5df70cfaull}},
   };
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     expect_golden(golden[seed - 1], generated_case(seed, false));
@@ -342,28 +366,28 @@ TEST(SearchGolden, GeneratedSystemContextWcetDigestsArePinned) {
   const Golden golden[] = {
       {"seed 1 (context WCETs)",
        {0xe1edc15856298affull, 0x0ull, 0x0ull,
-        0xab81ebf361b65d30ull}},
+        0xab81ebf361b65d30ull, 0xa04a7e3d1fad40f4ull}},
       {"seed 2 (context WCETs)",
        {0x75da2392e4512bc2ull, 0x0ull, 0x0ull,
-        0xec99099ccc4253beull}},
+        0xec99099ccc4253beull, 0xee5cc8f00e0c6343ull}},
       {"seed 3 (context WCETs)",
        {0x0ce50368fd7694ccull, 0x0ull, 0x0ull,
-        0xa0db18f303f0b9eaull}},
+        0xa0db18f303f0b9eaull, 0xe253945b03615b3aull}},
       {"seed 4 (context WCETs)",
        {0x89efaec05b962cfbull, 0x0ull, 0x0ull,
-        0x30a15b73c7b567b6ull}},
+        0x30a15b73c7b567b6ull, 0xfac2fbab6fd18fb6ull}},
       {"seed 5 (context WCETs)",
        {0xb79c033049a7cd69ull, 0x0ull, 0x0ull,
-        0xa26de1a12f2838c4ull}},
+        0xa26de1a12f2838c4ull, 0xa16c7fc474446e96ull}},
       {"seed 6 (context WCETs)",
        {0xf27e1216e689a2b0ull, 0x0ull, 0x0ull,
-        0xb9b5378c7c4532c7ull}},
+        0xb9b5378c7c4532c7ull, 0xb08263636e3fb4a6ull}},
       {"seed 7 (context WCETs)",
        {0xe0217dea6272611aull, 0x0ull, 0x0ull,
-        0xf1d10b05a84811b0ull}},
+        0xf1d10b05a84811b0ull, 0x739b24e945076a4full}},
       {"seed 8 (context WCETs)",
        {0x1fb109d6682a6265ull, 0x0ull, 0x0ull,
-        0xd5eba795e3fe3468ull}},
+        0xd5eba795e3fe3468ull, 0x7b849e1a13a17bbaull}},
   };
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     expect_golden(golden[seed - 1], generated_case(seed, true));

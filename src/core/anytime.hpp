@@ -6,10 +6,9 @@
 ///        through ONE `RunTelemetry` (instead of four drifting result
 ///        fields). The semantics — budget quantization to round
 ///        boundaries, resume-by-replay through the EvalCache journal — are
-///        defined by the engines (opt::race in opt/portfolio, and
-///        exhaustive_search's block scan in opt/discrete_search); this
-///        header only pins the common shape so drivers, benches and tools
-///        handle every engine uniformly.
+///        defined once, by opt::race and opt::race_owned (opt/portfolio);
+///        this header only pins the common shape so drivers, benches and
+///        tools handle every engine uniformly.
 
 #include <string>
 
@@ -32,7 +31,8 @@ struct AnytimeOptions {
   RunBudget* budget = nullptr;
   /// Checkpoint file: empty = off. An existing file is resumed from
   /// automatically by the engines that own their EvalCache (multistart,
-  /// exhaustive, portfolio and the interleaved search).
+  /// exhaustive, portfolio and the interleaved search, all through
+  /// opt::race_owned).
   std::string checkpoint_path;
   /// New completed evaluations between snapshots.
   int checkpoint_every = 16;

@@ -321,21 +321,15 @@ InterleavedSearchResult interleaved_search(
         "interleaved_search: start violates the idle-time constraint");
   }
   const std::size_t num_apps = start.num_apps();
-  opt::EvalCache cache(make_interleaved_objective(evaluator, num_apps),
-                       make_interleaved_neighbor_objective(evaluator, num_apps,
-                                                           opts));
-  InterleavedSearchResult res;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every, opts.anytime.fault);
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
-  }
   std::vector<std::unique_ptr<opt::SearchDriver>> lane;
   lane.push_back(std::make_unique<InterleavedDriver>(evaluator, start, opts));
   // Round 0 evaluates the start, round k the neighborhood of step k.
-  const opt::PortfolioResult race_res = opt::race(
-      lane, cache, opts.max_steps + 1, 0, opts.anytime.budget, pool);
+  const opt::PortfolioResult race_res = opt::race_owned(
+      lane, make_interleaved_objective(evaluator, num_apps),
+      make_interleaved_neighbor_objective(evaluator, num_apps, opts),
+      opts.max_steps + 1, 0, opts.anytime, pool);
   const auto& driver = static_cast<const InterleavedDriver&>(*lane.front());
+  InterleavedSearchResult res;
   if (driver.found_feasible()) {
     res.found = true;
     res.best = decode(driver.best(), num_apps);
@@ -344,10 +338,8 @@ InterleavedSearchResult interleaved_search(
   }
   res.steps = driver.steps();
   res.path = driver.path();
-  res.unique_evaluations = cache.unique_evaluations();
-  res.telemetry.stop = race_res.telemetry.stop;
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
+  res.unique_evaluations = race_res.unique_evaluations;
+  res.telemetry = race_res.telemetry;
   return res;
 }
 

@@ -1,6 +1,7 @@
 #include "opt/discrete_search.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -69,22 +70,6 @@ const EvalOutcome& EvalCache::evaluate_neighbor_of(
     if (misses != nullptr) misses->fetch_add(1);
     record(p, out);
   }
-  return out;
-}
-
-std::vector<const EvalOutcome*> EvalCache::evaluate_batch(
-    const std::vector<const std::vector<int>*>& points, core::ThreadPool* pool,
-    std::atomic<int>* misses, const std::vector<int>* base,
-    const core::RunBudget* budget) {
-  std::vector<const EvalOutcome*> out(points.size(), nullptr);
-  core::parallel_for(
-      pool, points.size(), 0,
-      [&](std::size_t i) {
-        out[i] = base != nullptr
-                     ? &evaluate_neighbor_of(*base, *points[i], misses)
-                     : &evaluate(*points[i], misses);
-      },
-      budget);
   return out;
 }
 
@@ -195,20 +180,14 @@ MultiStartResult hybrid_search_multistart(
     lanes.push_back(std::make_unique<HybridDriver>(
         "hybrid:" + std::to_string(i), cheap, starts[i], opts));
   }
-  EvalCache cache(objective, neighbor);
+  // A resumed run replays every start to the bit-identical combined result
+  // and unique-evaluation total; only the per-run `new_evaluations` split
+  // shifts (preloaded points cost nobody).
+  const PortfolioResult race_res = race_owned(
+      lanes, objective, neighbor, opts.max_steps + 1, 0, opts.anytime, pool);
   MultiStartResult res;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every, opts.anytime.fault);
-    // Resume-by-replay: preload the table and rerun every start — memo
-    // hits fast-forward each lane to where the previous process died, so
-    // the final combined result (and the unique-evaluation total) is
-    // bit-identical to an uninterrupted run. Only the per-run
-    // `new_evaluations` split shifts (preloaded points cost nobody).
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
-  }
-  const PortfolioResult race_res = race(lanes, cache, opts.max_steps + 1, 0,
-                                        opts.anytime.budget, pool);
+  res.telemetry = race_res.telemetry;
+  res.unique_evaluations = race_res.unique_evaluations;
   // Deterministic reduction: combine in start order.
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     res.runs.push_back(
@@ -225,9 +204,6 @@ MultiStartResult hybrid_search_multistart(
     res.telemetry.stop = opts.anytime.budget->reason();
     res.combined.telemetry.stop = res.telemetry.stop;
   }
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
-  res.unique_evaluations = cache.unique_evaluations();
   return res;
 }
 
@@ -251,6 +227,47 @@ void scan_rec(const CheapFeasible& cheap, int lo, int hi,
   }
   p[dim] = lo;
 }
+
+/// The exhaustive scan as a race driver: round k proposes block k of the
+/// enumerated region (enumeration order) and observes it into \p out's
+/// table and counters; the best follows SearchDriver::note (strict >, so
+/// the earliest of equal values wins).
+class BlockScanDriver final : public SearchDriver {
+ public:
+  static constexpr std::size_t kBlock = 256;
+
+  BlockScanDriver(std::vector<std::vector<int>> region, ExhaustiveResult& out)
+      : SearchDriver("exhaustive"), region_(std::move(region)), out_(out) {
+    out_.all.reserve(region_.size());
+  }
+
+  int blocks() const {
+    return static_cast<int>((region_.size() + kBlock - 1) / kBlock);
+  }
+
+  void observe(const std::vector<std::vector<int>>& points,
+               const std::vector<const EvalOutcome*>& outcomes) override {
+    for (std::size_t k = 0; k < points.size(); ++k) {
+      note(points[k], *outcomes[k]);
+      ++out_.enumerated;
+      if (outcomes[k]->feasible) ++out_.control_feasible;
+      out_.all.emplace_back(points[k], *outcomes[k]);
+    }
+  }
+
+ protected:
+  std::vector<std::vector<int>> propose() override {
+    const std::size_t begin = next_;
+    next_ = std::min(begin + kBlock, region_.size());
+    return {std::make_move_iterator(region_.begin() + begin),
+            std::make_move_iterator(region_.begin() + next_)};
+  }
+
+ private:
+  std::vector<std::vector<int>> region_;
+  ExhaustiveResult& out_;
+  std::size_t next_ = 0;
+};
 
 }  // namespace
 
@@ -283,60 +300,21 @@ ExhaustiveResult exhaustive_search(const DiscreteObjective& objective,
                                    std::size_t dims,
                                    const HybridOptions& opts,
                                    core::ThreadPool* pool) {
-  // Enumerate serially (cheap), then evaluate the region in fixed-size
-  // blocks through a memo cache: each block is fanned across the pool into
-  // index-addressed slots and reduced serially in enumeration order —
-  // bit-identical to the serial scan. The block structure is the anytime
-  // quantum (budget checked between blocks; a mid-block trip discards the
-  // partial block) and the checkpoint cadence rides the cache's journal.
-  std::vector<std::vector<int>> region = enumerate_feasible(cheap, dims, opts);
-  EvalCache cache(objective);
+  // Enumerate serially (cheap), then race the scan alone: one block per
+  // round, so a budget cut keeps whole blocks only.
   ExhaustiveResult res;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every, opts.anytime.fault);
-    res.telemetry.resumed = cache.try_resume(&res.telemetry.used_fallback);
-  }
-  core::RunBudget* budget = opts.anytime.budget;
-  constexpr std::size_t kBlock = 256;
-  res.all.reserve(region.size());
-  for (std::size_t begin = 0; begin < region.size(); begin += kBlock) {
-    if (budget != nullptr && budget->cancelled()) {
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    const std::size_t end = std::min(begin + kBlock, region.size());
-    std::vector<const std::vector<int>*> batch;
-    batch.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) batch.push_back(&region[i]);
-    std::atomic<int> misses{0};
-    const std::vector<const EvalOutcome*> outcomes =
-        cache.evaluate_batch(batch, pool, &misses, nullptr, budget);
-    if (budget != nullptr && budget->cancelled()) {
-      // Partial block: discard, keep blocks 0..k.
-      res.telemetry.stop = budget->reason();
-      break;
-    }
-    if (budget != nullptr) {
-      budget->note_evaluations(static_cast<std::uint64_t>(misses.load()));
-    }
-    for (std::size_t i = begin; i < end; ++i) {
-      const EvalOutcome& out = *outcomes[i - begin];
-      ++res.enumerated;
-      if (out.feasible) {
-        ++res.control_feasible;
-        if (!res.found_feasible || out.value > res.best_value) {
-          res.found_feasible = true;
-          res.best_value = out.value;
-          res.best = region[i];
-        }
-      }
-      res.all.emplace_back(std::move(region[i]), out);
-    }
-  }
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
-  res.unique_evaluations = cache.unique_evaluations();
+  auto driver = std::make_unique<BlockScanDriver>(
+      enumerate_feasible(cheap, dims, opts), res);
+  const int blocks = driver->blocks();
+  std::vector<std::unique_ptr<SearchDriver>> scan;
+  scan.push_back(std::move(driver));
+  const PortfolioResult race_res =
+      race_owned(scan, objective, nullptr, blocks, 0, opts.anytime, pool);
+  res.found_feasible = scan.front()->found_feasible();
+  res.best = scan.front()->best();
+  res.best_value = scan.front()->best_value();
+  res.telemetry = race_res.telemetry;
+  res.unique_evaluations = race_res.unique_evaluations;
   return res;
 }
 

@@ -86,9 +86,9 @@ EvaluationTable decode_evaluation_table(
 /// to the bit-identical final result (see tests/test_anytime.cpp).
 class EvalCache {
 public:
-  /// With a non-null \p neighbor objective, batch evaluations that carry a
-  /// base point route memo misses through it (the delta-aware path);
-  /// results must be bit-identical to \p objective (see NeighborObjective).
+  /// With a non-null \p neighbor objective, evaluate_neighbor_of routes
+  /// memo misses through it (the delta-aware path); results must be
+  /// bit-identical to \p objective (see NeighborObjective).
   explicit EvalCache(DiscreteObjective objective,
                      NeighborObjective neighbor = nullptr)
       : objective_(std::move(objective)), neighbor_(std::move(neighbor)) {}
@@ -104,20 +104,6 @@ public:
   const EvalOutcome& evaluate_neighbor_of(const std::vector<int>& base,
                                           const std::vector<int>& p,
                                           std::atomic<int>* misses = nullptr);
-
-  /// Batch objective API: evaluate every point (duplicates deduplicated by
-  /// the memo) concurrently on \p pool — serially when pool is null — and
-  /// return the outcomes in input order. Points are taken by pointer so
-  /// callers batch without copying their candidate vectors. A non-null
-  /// \p base marks every point as its neighbor (delta-aware misses).
-  /// A non-null \p budget short-circuits the batch at chunk granularity
-  /// once it fires; skipped points leave their slot null — callers must
-  /// treat the whole batch as discarded (the anytime searches do).
-  std::vector<const EvalOutcome*> evaluate_batch(
-      const std::vector<const std::vector<int>*>& points,
-      core::ThreadPool* pool, std::atomic<int>* misses = nullptr,
-      const std::vector<int>* base = nullptr,
-      const core::RunBudget* budget = nullptr);
 
   /// Distinct points evaluated so far (includes preloaded entries).
   int unique_evaluations() const {
@@ -180,8 +166,9 @@ struct HybridOptions {
   /// Shared anytime/checkpoint knobs (see core/anytime.hpp for the
   /// budget-quantization and resume-by-replay contracts). The checkpoint
   /// path only applies to the entry points that own their cache
-  /// (hybrid_search_multistart, exhaustive_search); callers of the plain
-  /// hybrid_search own the cache and arm it themselves.
+  /// (hybrid_search_multistart, exhaustive_search, via opt::race_owned);
+  /// callers of the plain hybrid_search own the cache and arm it
+  /// themselves.
   core::AnytimeOptions anytime;
 };
 
@@ -259,14 +246,14 @@ struct ExhaustiveResult {
 };
 
 /// Enumerate and evaluate every cheap-feasible point with dimensions
-/// \p dims, each value in [min_value, max_value]. With a \p pool the
-/// enumerated region is fanned across the workers and reduced serially in
-/// enumeration order, so the result (including the full `all` table) is
-/// bit-identical to the serial run. The region is processed in fixed-size
-/// blocks through an internal EvalCache: opts.anytime.budget is consulted
-/// between blocks (and at pool chunk claims within one),
-/// opts.anytime.checkpoint_path arms table snapshots on that cache and
-/// resumes from an existing file.
+/// \p dims, each value in [min_value, max_value]: a block-scan driver
+/// raced alone by opt::race_owned, one 256-point block of the region per
+/// round, in enumeration order. With a \p pool each block is fanned across
+/// the workers and observed serially, so the result (including the full
+/// `all` table) is bit-identical to the serial run. opts.anytime follows
+/// the race's contract: the budget is consulted between blocks and at pool
+/// chunk claims (a mid-block trip discards the block), and the checkpoint
+/// path arms the race's cache and resumes from an existing file.
 /// \throws std::invalid_argument if dims == 0.
 ExhaustiveResult exhaustive_search(const DiscreteObjective& objective,
                                    const CheapFeasible& cheap,

@@ -181,6 +181,28 @@ PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
   return res;
 }
 
+PortfolioResult race_owned(
+    const std::vector<std::unique_ptr<SearchDriver>>& roster,
+    const DiscreteObjective& objective, const NeighborObjective& neighbor,
+    int max_rounds, int elimination_rounds,
+    const core::AnytimeOptions& anytime, core::ThreadPool* pool) {
+  EvalCache cache(objective, neighbor);
+  bool resumed = false;
+  bool used_fallback = false;
+  if (!anytime.checkpoint_path.empty()) {
+    cache.enable_checkpoints(anytime.checkpoint_path,
+                             anytime.checkpoint_every, anytime.fault);
+    resumed = cache.try_resume(&used_fallback);
+  }
+  PortfolioResult res = race(roster, cache, max_rounds, elimination_rounds,
+                             anytime.budget, pool);
+  res.telemetry.resumed = resumed;
+  res.telemetry.used_fallback = used_fallback;
+  cache.save_checkpoint();
+  res.telemetry.checkpoints_written = cache.checkpoints_written();
+  return res;
+}
+
 PortfolioResult portfolio_search(const DiscreteObjective& objective,
                                  const CheapFeasible& cheap,
                                  const std::vector<std::vector<int>>& starts,
@@ -195,23 +217,8 @@ PortfolioResult portfolio_search(const DiscreteObjective& objective,
   const std::vector<std::unique_ptr<SearchDriver>> roster =
       build_roster(cheap, starts, opts);
 
-  EvalCache cache(objective, neighbor);
-  bool resumed = false;
-  bool used_fallback = false;
-  if (!opts.anytime.checkpoint_path.empty()) {
-    cache.enable_checkpoints(opts.anytime.checkpoint_path,
-                             opts.anytime.checkpoint_every,
-                             opts.anytime.fault);
-    resumed = cache.try_resume(&used_fallback);
-  }
-  PortfolioResult res =
-      race(roster, cache, opts.max_rounds, opts.elimination_rounds,
-           opts.anytime.budget, pool);
-  res.telemetry.resumed = resumed;
-  res.telemetry.used_fallback = used_fallback;
-  cache.save_checkpoint();
-  res.telemetry.checkpoints_written = cache.checkpoints_written();
-  return res;
+  return race_owned(roster, objective, neighbor, opts.max_rounds,
+                    opts.elimination_rounds, opts.anytime, pool);
 }
 
 }  // namespace catsched::opt

@@ -8,11 +8,11 @@
 ///        all the others — the paper's "a schedule costs once" accounting
 ///        (Sec. IV) extended across heterogeneous strategies.
 ///
-/// The race itself is opt::race, the one round loop every step-wise search
-/// runs on: hybrid_search and multi-start race hybrid lanes only, and
-/// core::interleaved_search races its segment-space driver alone
-/// (exhaustive_search's block scan is the one exception). Round protocol
-/// (every driver-side step serial, in fixed roster order):
+/// The race itself is opt::race, the one round loop every search runs on:
+/// hybrid_search and multi-start race hybrid lanes only, exhaustive_search
+/// races its block scan alone, and core::interleaved_search its
+/// segment-space driver. Round protocol (every driver-side step serial, in
+/// fixed roster order):
 ///   1. every live driver proposes a batch;
 ///   2. ONE pooled fan-out evaluates all proposals of the round through
 ///      the shared memo (misses only cost once, duplicates across drivers
@@ -115,6 +115,19 @@ struct PortfolioResult {
 PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
                      EvalCache& cache, int max_rounds, int elimination_rounds,
                      core::RunBudget* budget, core::ThreadPool* pool);
+
+/// The lifecycle of every search that owns its cache: race \p roster on a
+/// fresh EvalCache over \p objective / \p neighbor with \p anytime's
+/// budget. A non-empty checkpoint path arms the cache's journal and
+/// resumes from an existing file first (resume-by-replay: memo hits
+/// fast-forward the race to where the previous process died); the final
+/// state is saved on return. Fills every PortfolioResult field, the
+/// checkpoint telemetry included.
+PortfolioResult race_owned(
+    const std::vector<std::unique_ptr<SearchDriver>>& roster,
+    const DiscreteObjective& objective, const NeighborObjective& neighbor,
+    int max_rounds, int elimination_rounds,
+    const core::AnytimeOptions& anytime, core::ThreadPool* pool);
 
 /// Race the standard roster from \p starts: one hybrid walk per start,
 /// plus one beam / pattern / anneal / genetic strategy (beam, pattern and

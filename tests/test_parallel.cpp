@@ -313,12 +313,13 @@ TEST(EvalCache, BatchKeepsInputOrderAndDeduplicates) {
   ThreadPool pool(4);
   std::vector<std::vector<int>> points;
   for (int k = 0; k < 50; ++k) points.push_back({k % 5});
-  std::vector<const std::vector<int>*> batch;
-  for (const auto& p : points) batch.push_back(&p);
+  // The fan-out opt::race runs: index-addressed slots filled from a pool.
+  std::vector<const opt::EvalOutcome*> outs(points.size(), nullptr);
   std::atomic<int> misses{0};
-  const auto outs = cache.evaluate_batch(batch, &pool, &misses);
-  ASSERT_EQ(outs.size(), batch.size());
-  for (std::size_t k = 0; k < batch.size(); ++k) {
+  pool.parallel_for(points.size(), [&](std::size_t k) {
+    outs[k] = &cache.evaluate(points[k], &misses);
+  });
+  for (std::size_t k = 0; k < points.size(); ++k) {
     ASSERT_EQ(outs[k]->value, static_cast<double>(points[k][0]));
   }
   EXPECT_EQ(objective_calls.load(), 5);

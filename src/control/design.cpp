@@ -117,8 +117,10 @@ double DesignObjective::run_cost(const SimResult& sr) const {
 //   plus a tail term >= 0) and a diverged run's 500 * horizon both reach;
 // - a penalty counted so far is <= the final penalty, and with no penalty
 //   so far the final one is > 0 or absent;
-// - a NaN input makes the bound NaN, and NaN >= bound is false, so a NaN
-//   never triggers a stop.
+// - a NaN output counts as a band violation (SettlingTracker), so the
+//   settling bound stays a time; it makes the IAE NaN, a NaN input makes
+//   the bound NaN, and NaN >= bound is false, so a NaN never triggers a
+//   stop.
 double DesignObjective::lower_bound(const SimProgress& p) const {
   const double horizon = sim_opts_.horizon;
   double lb =

@@ -183,7 +183,7 @@ public:
   void observe(double t, double y) noexcept {
     if (violated_ || !seen_) time_ = t;
     seen_ = true;
-    violated_ = std::abs(y - r_) > tol_;
+    violated_ = !(std::abs(y - r_) <= tol_);  // a NaN sample violates
   }
 
   SettlingInfo info() const noexcept {

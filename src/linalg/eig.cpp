@@ -257,7 +257,13 @@ std::vector<std::complex<double>> eigenvalues(const Matrix& a) {
 
 double spectral_radius(const Matrix& a) {
   double best = 0.0;
-  for (const auto& ev : eigenvalues(a)) best = std::max(best, std::abs(ev));
+  for (const auto& ev : eigenvalues(a)) {
+    const double m = std::abs(ev);
+    // A NaN eigenvalue is no evidence of stability: report it unstable,
+    // as a failed QR iteration is.
+    if (std::isnan(m)) return std::numeric_limits<double>::infinity();
+    best = std::max(best, m);
+  }
   return best;
 }
 

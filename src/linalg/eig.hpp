@@ -27,7 +27,8 @@ void balance(Matrix& a);
 ///         std::runtime_error if QR iteration fails to converge.
 std::vector<std::complex<double>> eigenvalues(const Matrix& a);
 
-/// max |lambda_i| over all eigenvalues; 0 for an empty matrix.
+/// max |lambda_i| over all eigenvalues; 0 for an empty matrix, +inf when
+/// an eigenvalue is NaN.
 double spectral_radius(const Matrix& a);
 
 /// True if every eigenvalue lies strictly inside the unit circle with the

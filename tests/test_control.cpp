@@ -442,6 +442,15 @@ TEST(Settling, BasicCases) {
   EXPECT_THROW(settling_time({}, {}, 1.0, 0.02), std::invalid_argument);
 }
 
+TEST(Settling, NanSampleViolatesTheBand) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(settling_time({0.0, 1.0}, {1.0, nan}, 1.0, 0.02).settled);
+  // A NaN before the last sample moves the settling time past it.
+  const auto s = settling_time({0.0, 1.0, 2.0}, {nan, 1.0, 1.0}, 1.0, 0.02);
+  EXPECT_TRUE(s.settled);
+  EXPECT_DOUBLE_EQ(s.time, 1.0);
+}
+
 // ----------------------------------------------------------------- design
 
 TEST(Design, FindsFeasibleControllerForCaseStudyLikePlant) {
@@ -514,6 +523,31 @@ TEST(Design, EvaluateGainsReportsDegenerateLoopInfeasible) {
     EXPECT_EQ(r.spectral_radius, std::numeric_limits<double>::infinity());
     EXPECT_EQ(r.settling_time, std::numeric_limits<double>::infinity());
   }
+}
+
+TEST(Design, EvaluateGainsReportsNanGainsInfeasible) {
+  // A first-order loop keeps QR from failing, so a NaN eigenvalue reaches
+  // the spectral radius, and NaN outputs reach the settling tracker.
+  DesignSpec spec;
+  spec.plant.a = Matrix{{-50.0}};
+  spec.plant.b = Matrix{{100.0}};
+  spec.plant.c = Matrix{{1.0}};
+  spec.umax = 10.0;
+  spec.r = 1.0;
+  spec.y0 = 0.0;
+  spec.smax = 0.1;
+  std::vector<sched::Interval> ivs(2);
+  ivs[0].h = 2e-3;
+  ivs[0].tau = 1e-3;
+  ivs[1].h = 3e-3;
+  ivs[1].tau = 1e-3;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const PhaseGains g{{Matrix{{nan}}, Matrix{{nan}}}, {0.0, 0.0}};
+  DesignResult r;
+  ASSERT_NO_THROW(r = evaluate_gains(spec, ivs, g, DesignOptions{}));
+  EXPECT_FALSE(r.feasible);
+  EXPECT_FALSE(r.settled);
+  EXPECT_EQ(r.spectral_radius, std::numeric_limits<double>::infinity());
 }
 
 TEST(Design, InfeasibleWhenDeadlineImpossible) {

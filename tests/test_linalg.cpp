@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <random>
 
 #include "linalg/eig.hpp"
@@ -261,6 +262,13 @@ TEST(Eig, ZeroAndIdentity) {
   EXPECT_DOUBLE_EQ(spectral_radius(Matrix(3, 3)), 0.0);
   EXPECT_DOUBLE_EQ(spectral_radius(Matrix::identity(3)), 1.0);
   EXPECT_FALSE(is_schur_stable(Matrix::identity(2)));
+}
+
+TEST(Eig, NanEigenvalueGivesInfiniteRadius) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(spectral_radius(Matrix{{nan}}),
+            std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(is_schur_stable(Matrix{{nan}}));
 }
 
 // ------------------------------------------------------------------ expm

@@ -51,8 +51,9 @@ LqrOutcome run_lqr(const control::ContinuousLTI& plant,
   const Matrix rw{{1e-6}};
   const auto lqr = control::periodic_lqr(phases, q, rw);
 
-  // Steady-state target from the continuous equilibrium (exact for every
-  // phase; see mimo.hpp for the argument).
+  // Steady-state target from the continuous equilibrium: A x + B u = 0
+  // makes it an exact equilibrium of every ZOH discretization, whatever
+  // (h, tau), so one target serves every phase.
   const auto eq = control::equilibrium_at(plant, r);
   Matrix z_ss(nz, 1);
   z_ss.set_block(0, 0, eq.x);

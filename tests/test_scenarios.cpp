@@ -1,6 +1,6 @@
 /// \file test_scenarios.cpp
 /// \brief Disturbance-rejection and reference-tracking scenario tests, plus
-///        the ASCII Gantt renderer.
+///        the generator's plant families.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "control/design.hpp"
 #include "control/lti.hpp"
 #include "control/scenarios.hpp"
-#include "sched/gantt.hpp"
 
 namespace {
 
@@ -144,22 +143,6 @@ TEST(Tracking, RejectsBadWarmup) {
                std::invalid_argument);
 }
 
-TEST(Gantt, RendersColdAndWarmDistinctly) {
-  using catsched::sched::InterleavedSchedule;
-  using catsched::sched::PeriodicSchedule;
-  const std::vector<catsched::sched::AppWcet> wcets = {{300e-6, 100e-6},
-                                                       {200e-6, 80e-6}};
-  const auto schedule =
-      InterleavedSchedule::from_periodic(PeriodicSchedule({2, 2}));
-  const std::string strip = catsched::sched::render_gantt(wcets, schedule, 2);
-  // Cold leader 'A' and warm follower 'a' both appear; same for B.
-  EXPECT_NE(strip.find('A'), std::string::npos);
-  EXPECT_NE(strip.find('a'), std::string::npos);
-  EXPECT_NE(strip.find('B'), std::string::npos);
-  EXPECT_NE(strip.find('b'), std::string::npos);
-  EXPECT_NE(strip.find("us"), std::string::npos);
-}
-
 TEST(PlantFamilies, EveryFamilyIsControllableAtItsDefaultDiscretization) {
   // The workload generator's validity contract: any family instance it can
   // sample must be controllable both in continuous time and — what the
@@ -255,15 +238,6 @@ TEST(PlantFamilies, RejectsDegenerateParameters) {
   EXPECT_THROW(
       make_family_plant(PlantFamily::damped_integrator, 100.0, 0.3, 0.0),
       std::invalid_argument);
-}
-
-TEST(Gantt, RejectsDegenerateInput) {
-  EXPECT_THROW(catsched::sched::render_gantt({}, 2), std::invalid_argument);
-  std::vector<catsched::sched::ScheduledTask> tl(1);
-  tl[0].app = 5;  // out of range for num_apps = 2
-  tl[0].start = 0.0;
-  tl[0].end = 1.0;
-  EXPECT_THROW(catsched::sched::render_gantt(tl, 2), std::invalid_argument);
 }
 
 }  // namespace

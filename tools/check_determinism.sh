@@ -40,7 +40,6 @@ fail=0
 ALLOW_STD_RNG="
 src/testgen/rng.hpp
 src/cache/structure.cpp
-src/control/kalman.cpp
 src/control/robustness.cpp
 src/core/jitter.cpp
 src/opt/pso.cpp

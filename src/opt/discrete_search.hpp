@@ -239,7 +239,7 @@ struct ExhaustiveResult {
   int control_feasible = 0;  ///< of those, how many satisfied eq. (3)
   std::vector<std::pair<std::vector<int>, EvalOutcome>> all;  ///< full table
   /// Anytime/checkpoint observability. On a cut-short run, `all`,
-  /// `enumerated` and best-so-far cover exactly the blocks reduced before
+  /// `enumerated` and best-so-far cover exactly the blocks observed before
   /// the budget fired — a bit-identical prefix of the full run's table.
   core::RunTelemetry telemetry;
   int unique_evaluations = 0;  ///< distinct points in the cache at return

@@ -111,7 +111,8 @@ struct PortfolioResult {
 /// evaluations are noted only when a completed round publishes, so a run
 /// cut after k rounds matches a max_rounds = k run bit for bit. Fills
 /// every PortfolioResult field except the checkpoint telemetry, which
-/// belongs to the cache's owner; `strategies` follows roster order.
+/// belongs to the cache's owner (race_owned); `strategies` follows
+/// roster order.
 PortfolioResult race(const std::vector<std::unique_ptr<SearchDriver>>& roster,
                      EvalCache& cache, int max_rounds, int elimination_rounds,
                      core::RunBudget* budget, core::ThreadPool* pool);

@@ -345,6 +345,34 @@ TEST(Exhaustive, FindsGlobalOptimumAndCounts) {
   EXPECT_EQ(res.control_feasible, res.enumerated);  // all feasible here
 }
 
+TEST(Exhaustive, EvaluationCapCutsAtABlockBoundary) {
+  // 8^3 = 512 points, two 256-point blocks. The cap is noted when a block
+  // completes, so a cap of 1 lets the first block finish and stops before
+  // the second: the cut run is exactly the full run's first block.
+  const auto everything = [](const std::vector<int>&) { return true; };
+  HybridOptions opts;
+  opts.max_value = 8;
+  const auto full = exhaustive_search(bowl, everything, 3, opts);
+  ASSERT_EQ(full.enumerated, 512);
+  catsched::core::RunBudget budget;
+  budget.set_max_evaluations(1);
+  opts.anytime.budget = &budget;
+  const auto cut = exhaustive_search(bowl, everything, 3, opts);
+  EXPECT_EQ(cut.telemetry.stop, catsched::core::StopReason::evaluation_limit);
+  EXPECT_EQ(budget.evaluations(), 256u);
+  ASSERT_EQ(cut.enumerated, 256);
+  ASSERT_EQ(cut.all.size(), 256u);
+  for (std::size_t i = 0; i < cut.all.size(); ++i) {
+    EXPECT_EQ(cut.all[i].first, full.all[i].first) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cut.all[i].second.value),
+              std::bit_cast<std::uint64_t>(full.all[i].second.value))
+        << i;
+  }
+  EXPECT_EQ(cut.control_feasible, 256);
+  EXPECT_EQ(cut.unique_evaluations, 256);
+  EXPECT_EQ(cut.best, full.best);  // (3, 2, 3) lies in the first block
+}
+
 TEST(Exhaustive, HybridNeedsFewerEvaluationsThanExhaustive) {
   // The paper's headline efficiency claim on a synthetic landscape.
   const auto ex = exhaustive_search(bowl, cheap_box, 3, HybridOptions{});

@@ -241,48 +241,19 @@ BENCHMARK(BM_AbstractCacheEquality);
 
 // ---------------------------------------------------------- timing kernels
 // Timing derivation of the case study on the interleaved schedule
-// (C1x2, C2x2, C1x1, C3x3): from scratch, and incrementally for a one-task
-// move and for an adjacent-segment swap (a block rotation) — the three
-// paths the interleaved search's neighbor pre-filter takes.
-
-const std::vector<std::size_t>& interleaved_seq() {
-  static const std::vector<std::size_t> seq =
-      sched::InterleavedSchedule({{0, 2}, {1, 2}, {0, 1}, {2, 3}}, 3)
-          .task_sequence();
-  return seq;
-}
+// (C1x2, C2x2, C1x1, C3x3): the one derivation every schedule and every
+// neighbor goes through.
 
 void BM_TimingScratch(benchmark::State& state) {
   const auto wcets = sys().analyze_wcets();
+  const std::vector<std::size_t> seq =
+      sched::InterleavedSchedule({{0, 2}, {1, 2}, {0, 1}, {2, 3}}, 3)
+          .task_sequence();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::derive_timing(wcets, interleaved_seq(), 3));
+    benchmark::DoNotOptimize(sched::derive_timing(wcets, seq, 3));
   }
 }
 BENCHMARK(BM_TimingScratch);
-
-void BM_TimingDelta(benchmark::State& state) {
-  const auto wcets = sys().analyze_wcets();
-  const sched::TimingPattern base =
-      sched::expand_timing(wcets, interleaved_seq(), 3);
-  const sched::TaskMove move{sched::TaskMove::Kind::insert, 3, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::derive_timing_delta(wcets, base, move));
-  }
-}
-BENCHMARK(BM_TimingDelta);
-
-void BM_TimingRotation(benchmark::State& state) {
-  const auto wcets = sys().analyze_wcets();
-  const sched::TimingPattern base =
-      sched::expand_timing(wcets, interleaved_seq(), 3);
-  const sched::BlockRotation swap{2, 3, 2};  // C2x2 | C1x1 -> C1x1 | C2x2
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::derive_timing_rotation(wcets, base, swap));
-  }
-}
-BENCHMARK(BM_TimingRotation);
 
 // ---------------------------------------------------------- design kernels
 // The controller-design hot path (ISSUE 3): everything design_controller

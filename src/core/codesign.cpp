@@ -1,53 +1,16 @@
 #include "core/codesign.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace catsched::core {
 
-namespace {
-
-/// The one-task edit turning periodic schedule \p base into \p moved when
-/// they differ by +-1 in exactly one burst; nullopt for anything else
-/// (different app count, several changed bursts, |step| > 1, no change).
-/// Bursts are laid out in app order, so the task sits at the end of its
-/// burst.
-std::optional<sched::TaskMove> periodic_move(const sched::PeriodicSchedule& base,
-                                             const sched::PeriodicSchedule& moved) {
-  if (base.num_apps() != moved.num_apps()) return std::nullopt;
-  std::size_t dim = base.num_apps();
-  for (std::size_t i = 0; i < base.num_apps(); ++i) {
-    const int d = moved.burst(i) - base.burst(i);
-    if (d == 0) continue;
-    if (dim != base.num_apps() || (d != 1 && d != -1)) return std::nullopt;
-    dim = i;
-  }
-  if (dim == base.num_apps()) return std::nullopt;
-  std::size_t burst_end = 0;
-  for (std::size_t i = 0; i <= dim; ++i) {
-    burst_end += static_cast<std::size_t>(base.burst(i));
-  }
-  sched::TaskMove move;
-  move.app = dim;
-  if (moved.burst(dim) > base.burst(dim)) {
-    move.kind = sched::TaskMove::Kind::insert;
-    move.pos = burst_end;
-  } else {
-    move.kind = sched::TaskMove::Kind::remove;
-    move.pos = burst_end - 1;
-  }
-  return move;
-}
-
-}  // namespace
-
 opt::DiscreteObjective make_objective(Evaluator& evaluator) {
   return [&evaluator](const std::vector<int>& m) {
-    // Through the evaluator's schedule memo: the delta path anchors on the
-    // base schedule's cached evaluation, so the plain objective must land
-    // its results in the same place (also dedups across searches).
+    // Through the evaluator's schedule memo: the neighbor objective reuses
+    // the base schedule's cached evaluation, so the plain objective must
+    // land its results in the same place (also dedups across searches).
     const ScheduleEvaluation& ev = evaluator.evaluate_cached(
         sched::InterleavedSchedule::from_periodic(sched::PeriodicSchedule(m)));
     return opt::EvalOutcome{ev.pall, ev.feasible()};
@@ -57,28 +20,16 @@ opt::DiscreteObjective make_objective(Evaluator& evaluator) {
 opt::NeighborObjective make_neighbor_objective(Evaluator& evaluator) {
   return [&evaluator](const std::vector<int>& base,
                       const std::vector<int>& point) {
-    // Delta-aware: a +-1 move of one burst is evaluated against the base
-    // schedule's cached evaluation and pattern; anything else takes the
-    // plain memoized path. Bit-identical either way.
-    const sched::PeriodicSchedule base_schedule(base);
-    const sched::PeriodicSchedule moved(point);
-    const auto moved_il = sched::InterleavedSchedule::from_periodic(moved);
-    const std::string moved_key = moved_il.to_string();
-    const std::optional<sched::TaskMove> move =
-        periodic_move(base_schedule, moved);
-    if (!move) {
-      const ScheduleEvaluation& ev =
-          evaluator.evaluate_cached(moved_il, moved_key);
-      return opt::EvalOutcome{ev.pall, ev.feasible()};
-    }
-    const auto base_il = sched::InterleavedSchedule::from_periodic(base_schedule);
-    const std::string base_key = base_il.to_string();
+    // Evaluated against the base schedule's cached evaluation, whose
+    // per-app results are reused where the point's pattern is unchanged.
+    const auto base_il = sched::InterleavedSchedule::from_periodic(
+        sched::PeriodicSchedule(base));
     const ScheduleEvaluation& base_eval =
-        evaluator.evaluate_cached(base_il, base_key);
-    const Anchor anchor{evaluator.timing_pattern(base_il, base_key), base_eval,
-                        move, std::nullopt};
+        evaluator.evaluate_cached(base_il, base_il.to_string());
+    const auto il = sched::InterleavedSchedule::from_periodic(
+        sched::PeriodicSchedule(point));
     const ScheduleEvaluation& ev =
-        evaluator.evaluate_cached(moved_il, moved_key, &anchor);
+        evaluator.evaluate_cached(il, il.to_string(), &base_eval);
     return opt::EvalOutcome{ev.pall, ev.feasible()};
   };
 }

@@ -21,11 +21,11 @@ struct CodesignResult {
 /// Adapter: the expensive discrete objective (full schedule evaluation).
 opt::DiscreteObjective make_objective(Evaluator& evaluator);
 
-/// Adapter: the delta-aware neighbor objective — evaluates an m +- e_i
-/// point incrementally from its base schedule's pattern, reusing per-app
-/// evaluations where unchanged (an Anchor on the base). Bit-identical to
-/// make_objective (the evaluator's anchored-evaluation contract);
-/// hybrid_search batches route memo misses through it.
+/// Adapter: the neighbor objective — evaluates an m +- e_i point against
+/// its base schedule's cached evaluation, reusing per-app evaluations where
+/// the pattern is unchanged. Bit-identical to make_objective (the
+/// evaluator's anchored-evaluation contract); hybrid_search batches route
+/// memo misses through it.
 opt::NeighborObjective make_neighbor_objective(Evaluator& evaluator);
 
 /// Adapter: the cheap pre-filter (idle-time feasibility, eq. (4)).

@@ -67,20 +67,14 @@ sched::ScheduleTiming Evaluator::derive(const std::vector<std::size_t>& seq,
                   : sched::derive_timing(wcets_, seq, num_apps);
 }
 
-sched::TimingPattern Evaluator::expand(
-    const sched::InterleavedSchedule& s) const {
-  return context_ ? sched::expand_timing(wcets_, *context_, s)
-                  : sched::expand_timing(wcets_, s);
-}
-
 sched::ScheduleTiming Evaluator::derive_compared(
-    const std::vector<std::size_t>& seq, std::size_t num_apps,
-    const sched::ScheduleTiming& base,
+    const std::vector<std::size_t>& seq, const sched::ScheduleTiming& base,
     std::vector<bool>* app_unchanged) const {
+  const std::size_t num_apps = base.apps.size();
   sched::ScheduleTiming timing = derive(seq, num_apps);
   if (app_unchanged != nullptr) {
-    app_unchanged->assign(num_apps, false);
-    for (std::size_t i = 0; i < num_apps && i < base.apps.size(); ++i) {
+    app_unchanged->resize(num_apps);
+    for (std::size_t i = 0; i < num_apps; ++i) {
       (*app_unchanged)[i] = timing.apps[i].intervals == base.apps[i].intervals;
     }
   }
@@ -88,44 +82,17 @@ sched::ScheduleTiming Evaluator::derive_compared(
 }
 
 sched::ScheduleTiming Evaluator::derive_neighbor_timing(
-    const sched::InterleavedSchedule& s, const Anchor& anchor,
-    std::vector<bool>* app_unchanged) const {
-  if (anchor.move) {
-    return derive_neighbor_timing(anchor.pattern, *anchor.move, app_unchanged);
-  }
-  if (anchor.rotation) {
-    return derive_neighbor_timing(anchor.pattern, *anchor.rotation,
-                                  app_unchanged);
-  }
-  return derive_compared(s.task_sequence(), s.num_apps(),
-                         anchor.pattern.timing, app_unchanged);
-}
-
-sched::ScheduleTiming Evaluator::derive_neighbor_timing(
     const sched::TimingPattern& base, const sched::TaskMove& move,
     std::vector<bool>* app_unchanged) const {
-  if (!context_) {
-    return sched::derive_timing_delta(wcets_, base, move, app_unchanged);
-  }
-  // Context mode: a one-task move can flip interference masks of tasks far
-  // from the edit (the burst-opening task of every app whose gap the move
-  // lands in), so the moved sequence is re-derived from scratch and the
-  // reuse flags are recovered by comparison — the same contract the delta
-  // path's app_unchanged carries.
-  return derive_compared(sched::apply_move(base.seq, move),
-                         base.timing.apps.size(), base.timing, app_unchanged);
+  return derive_compared(sched::apply_move(base.seq, move), base.timing,
+                         app_unchanged);
 }
 
 sched::ScheduleTiming Evaluator::derive_neighbor_timing(
     const sched::TimingPattern& base, const sched::BlockRotation& rot,
     std::vector<bool>* app_unchanged) const {
-  if (!context_) {
-    return sched::derive_timing_rotation(wcets_, base, rot, app_unchanged);
-  }
-  // Context mode: a rotation moves whole blocks between interference gaps,
-  // flipping masks of tasks far outside the rotated range.
-  return derive_compared(sched::apply_rotation(base.seq, rot),
-                         base.timing.apps.size(), base.timing, app_unchanged);
+  return derive_compared(sched::apply_rotation(base.seq, rot), base.timing,
+                         app_unchanged);
 }
 
 bool Evaluator::idle_feasible(const sched::PeriodicSchedule& s) const {
@@ -133,11 +100,8 @@ bool Evaluator::idle_feasible(const sched::PeriodicSchedule& s) const {
 }
 
 bool Evaluator::idle_feasible(const sched::InterleavedSchedule& s) const {
-  return idle_feasible(derive(s.task_sequence(), s.num_apps()));
-}
-
-bool Evaluator::idle_feasible(const sched::ScheduleTiming& timing) const {
-  return sched::idle_feasible(timing, tidle_);
+  return sched::idle_feasible(derive(s.task_sequence(), s.num_apps()),
+                               tidle_);
 }
 
 AppEvaluation Evaluator::evaluate_app(
@@ -181,15 +145,13 @@ ScheduleEvaluation Evaluator::evaluate(const sched::PeriodicSchedule& s) {
 }
 
 ScheduleEvaluation Evaluator::evaluate(const sched::InterleavedSchedule& s,
-                                       const Anchor* anchor) {
+                                       const ScheduleEvaluation* base) {
   const std::size_t napps = model_.num_apps();
-  if (anchor == nullptr || anchor->eval.apps.size() != napps ||
-      anchor->pattern.timing.apps.size() != napps) {
-    return complete(derive(s.task_sequence(), s.num_apps()), nullptr, {});
+  if (base != nullptr &&
+      (base->apps.size() != napps || base->timing.apps.size() != napps)) {
+    base = nullptr;
   }
-  std::vector<bool> unchanged;
-  sched::ScheduleTiming timing = derive_neighbor_timing(s, *anchor, &unchanged);
-  return complete(std::move(timing), &anchor->eval, unchanged);
+  return complete(derive(s.task_sequence(), s.num_apps()), base);
 }
 
 const ScheduleEvaluation& Evaluator::evaluate_cached(
@@ -199,19 +161,21 @@ const ScheduleEvaluation& Evaluator::evaluate_cached(
 
 const ScheduleEvaluation& Evaluator::evaluate_cached(
     const sched::InterleavedSchedule& s, const std::string& key,
-    const Anchor* anchor) {
-  return schedule_memo_.get_or_compute(key,
-                                       [&] { return evaluate(s, anchor); });
+    const ScheduleEvaluation* base) {
+  return schedule_memo_.get_or_compute(key, [&] { return evaluate(s, base); });
 }
 
 const sched::TimingPattern& Evaluator::timing_pattern(
     const sched::InterleavedSchedule& s, const std::string& key) {
-  return pattern_memo_.get_or_compute(key, [&] { return expand(s); });
+  return pattern_memo_.get_or_compute(key, [&] {
+    std::vector<std::size_t> seq = s.task_sequence();
+    sched::ScheduleTiming timing = derive(seq, s.num_apps());
+    return sched::TimingPattern{std::move(seq), std::move(timing)};
+  });
 }
 
 ScheduleEvaluation Evaluator::complete(sched::ScheduleTiming&& timing,
-                                       const ScheduleEvaluation* base,
-                                       const std::vector<bool>& app_unchanged) {
+                                       const ScheduleEvaluation* base) {
   if (base != nullptr) ++neighbor_evaluations_;
   ScheduleEvaluation out;
   out.timing = std::move(timing);
@@ -228,9 +192,9 @@ ScheduleEvaluation Evaluator::complete(sched::ScheduleTiming&& timing,
   const auto body = [&](std::size_t i) {
     const std::vector<sched::Interval>& intervals = out.timing.apps[i].intervals;
     const AppEvaluation* prior = base != nullptr ? &base->apps[i] : nullptr;
-    if (prior != nullptr && app_unchanged[i]) {
-      // Interval list provably identical to the base schedule's: the
-      // quantized key would match too, so skip re-quantization entirely.
+    if (prior != nullptr && intervals == base->timing.apps[i].intervals) {
+      // Interval list identical to the base schedule's: the quantized key
+      // would match too, so skip re-quantization entirely.
       evs[i] = *prior;
       ++apps_reused_;
       return;

@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -36,7 +35,7 @@ struct EvaluatorOptions {
   /// Context bounds are sound and sit in [warm, cold], so they can only
   /// shorten periods — schedules the cold/warm pair rejects on idle time
   /// can become feasible. Off (the default) keeps the paper's binary
-  /// model and the PR 4 incremental delta path bit-identically.
+  /// model bit-identically.
   bool context_wcets = false;
 
   /// Fault injection (tests and the robustness tools only): every
@@ -57,8 +56,8 @@ struct AppEvaluation {
   double performance = 0.0;    ///< P_i = 1 - s_i / s_i^max (paper eq. (2))
   bool feasible = false;       ///< P_i >= 0 and design feasible (eq. (3))
   /// Quantized timing pattern this evaluation was designed for, and its
-  /// fingerprint: an anchored evaluation compares a neighbor app's
-  /// fingerprint against these to reuse the evaluation without a
+  /// fingerprint: a neighbor evaluated against this schedule compares its
+  /// app's fingerprint against these to reuse the evaluation without a
   /// design-memo round trip.
   std::vector<std::int64_t> pattern_key;
   std::uint64_t pattern_hash = 0;
@@ -74,20 +73,6 @@ struct ScheduleEvaluation {
   bool feasible() const noexcept {
     return idle_feasible && control_feasible;
   }
-};
-
-/// An already-evaluated base schedule a neighbor is evaluated against:
-/// its expanded timing pattern and its evaluation (both of the SAME base
-/// schedule), plus at most one edit saying how the neighbor follows from
-/// it — a one-task `move` or a block `rotation` of the base's task
-/// sequence. With neither, the neighbor is derived from scratch and only
-/// the per-app reuse applies. An edit must describe the neighbor exactly
-/// (interleaved_neighbor_moves verifies its descriptors).
-struct Anchor {
-  const sched::TimingPattern& pattern;
-  const ScheduleEvaluation& eval;
-  std::optional<sched::TaskMove> move;
-  std::optional<sched::BlockRotation> rotation;
 };
 
 /// Evaluates schedules for a fixed SystemModel. Holds the WCET analysis
@@ -134,24 +119,21 @@ public:
   /// Cheap feasibility: idle-time constraint only (paper eq. (4)).
   bool idle_feasible(const sched::PeriodicSchedule& s) const;
   bool idle_feasible(const sched::InterleavedSchedule& s) const;
-  /// Same check on an already-derived timing (the searches' idle
-  /// pre-filter runs it on derive_neighbor_timing's result).
-  bool idle_feasible(const sched::ScheduleTiming& timing) const;
 
   /// Full evaluation: per-app holistic controller design + Pall.
   ScheduleEvaluation evaluate(const sched::PeriodicSchedule& s);
 
-  /// Full evaluation of \p s. With an \p anchor, timing comes from
-  /// derive_neighbor_timing(s, *anchor) and every app whose interval list
-  /// is unchanged from the anchor's (or whose quantized fingerprint
-  /// matches) reuses the anchor's AppEvaluation without a design-memo
-  /// round trip. Bit-identical to the anchor-free evaluation for any
-  /// anchor that describes its own base consistently (gtest-enforced
-  /// differentially); an anchor whose app count does not match the model
+  /// Full evaluation of \p s. With a \p base (the evaluation of a schedule
+  /// \p s neighbors, typically the search's current schedule), every app
+  /// whose derived interval list equals the base's (or whose quantized
+  /// fingerprint matches) reuses the base's AppEvaluation without a
+  /// design-memo round trip. Timing is always derived from scratch, so the
+  /// result is bit-identical to the plain evaluation for any base
+  /// (gtest-enforced); a base whose app count does not match the model
   /// (e.g. a default-constructed evaluation with no per-app state) is
   /// ignored.
   ScheduleEvaluation evaluate(const sched::InterleavedSchedule& s,
-                              const Anchor* anchor = nullptr);
+                              const ScheduleEvaluation* base = nullptr);
 
   /// Memoized whole-schedule evaluation, keyed on the canonical segment
   /// string: however many searches (or threads) revisit a segment pattern,
@@ -160,45 +142,34 @@ public:
   const ScheduleEvaluation& evaluate_cached(const sched::InterleavedSchedule& s);
   /// Same, for callers that already hold the canonical key (s.to_string())
   /// and shouldn't pay for building it twice. On a memo miss the entry is
-  /// computed by evaluate(s, anchor); either path may own a key, since the
+  /// computed by evaluate(s, base); either path may own a key, since the
   /// values are bit-identical.
-  const ScheduleEvaluation& evaluate_cached(const sched::InterleavedSchedule& s,
-                                            const std::string& key,
-                                            const Anchor* anchor = nullptr);
+  const ScheduleEvaluation& evaluate_cached(
+      const sched::InterleavedSchedule& s, const std::string& key,
+      const ScheduleEvaluation* base = nullptr);
 
-  /// Expanded per-task pattern of a base schedule, memoized on the
-  /// canonical key (s.to_string()); the pattern every Anchor on that base
-  /// carries. Reference stays valid for the evaluator's lifetime.
+  /// Task sequence and derived timing of a base schedule, memoized on the
+  /// canonical key (s.to_string()); the base the descriptor overloads of
+  /// derive_neighbor_timing edit. Reference stays valid for the
+  /// evaluator's lifetime.
   const sched::TimingPattern& timing_pattern(
       const sched::InterleavedSchedule& s, const std::string& key);
 
-  /// Timing of \p s, derived against \p anchor in whichever WCET mode this
-  /// evaluator runs. A `move` or `rotation` goes to the descriptor
-  /// overloads below; without one, \p s is derived from scratch. In every
-  /// case \p app_unchanged (if non-null) receives one flag per app: true
-  /// iff its interval list equals the anchor pattern's. The searches call
-  /// this for their idle pre-filter, so both modes and all three neighbor
-  /// classes flow through one path.
-  /// \throws std::invalid_argument like the descriptor overloads.
-  sched::ScheduleTiming derive_neighbor_timing(
-      const sched::InterleavedSchedule& s, const Anchor& anchor,
-      std::vector<bool>* app_unchanged) const;
-
-  /// Timing of the one-task-move neighbor of \p base: binary mode takes
-  /// the incremental derive_timing_delta path verbatim; context mode
-  /// re-derives the moved sequence from scratch (a move can change
-  /// interference masks far from the edit) and recovers \p app_unchanged
-  /// by comparing interval lists against the base pattern — same flags,
-  /// same downstream reuse.
-  /// \throws std::invalid_argument like derive_timing_delta.
+  /// Timing of the one-task-move neighbor of \p base: derive_timing on
+  /// apply_move(base.seq, move), in this evaluator's WCET mode. If non-null,
+  /// \p app_unchanged receives one flag per app: true iff its interval
+  /// list equals the base's.
+  /// \throws std::invalid_argument on an out-of-range move, an
+  ///         out-of-range app, or a removal that leaves an app without a
+  ///         task.
   sched::ScheduleTiming derive_neighbor_timing(
       const sched::TimingPattern& base, const sched::TaskMove& move,
       std::vector<bool>* app_unchanged) const;
 
-  /// Same mode dispatch for the segment-swap neighbor class: binary mode
-  /// takes sched::derive_timing_rotation (the incremental block-rotation
-  /// delta), context mode re-derives the rotated sequence from scratch.
-  /// \throws std::invalid_argument like derive_timing_rotation.
+  /// Same for the segment-swap neighbor: derive_timing on
+  /// apply_rotation(base.seq, rot).
+  /// \throws std::invalid_argument on an out-of-range or degenerate
+  ///         rotation.
   sched::ScheduleTiming derive_neighbor_timing(
       const sched::TimingPattern& base, const sched::BlockRotation& rot,
       std::vector<bool>* app_unchanged) const;
@@ -210,13 +181,14 @@ public:
   int designs_run() const noexcept { return designs_run_.load(); }
   /// Number of per-application design requests (incl. memo hits).
   int design_requests() const noexcept { return design_requests_.load(); }
-  /// Evaluations completed against an Anchor (schedule-memo misses taken
-  /// by an anchored evaluate_cached, and anchored evaluate calls).
+  /// Evaluations completed against a base evaluation (schedule-memo
+  /// misses taken by evaluate_cached with a base, and evaluate calls with
+  /// one).
   int neighbor_evaluations() const noexcept {
     return neighbor_evaluations_.load();
   }
-  /// AppEvaluations reused from an anchor's evaluation without touching
-  /// the design memo (interval list unchanged or fingerprint match).
+  /// AppEvaluations reused from a base evaluation without touching the
+  /// design memo (interval list unchanged or fingerprint match).
   int apps_reused() const noexcept { return apps_reused_.load(); }
 
 private:
@@ -226,23 +198,19 @@ private:
                              const std::vector<sched::Interval>& intervals,
                              std::vector<std::int64_t> key);
   /// Per-app designs + serial Pall reduction for a derived timing. With a
-  /// \p base, apps flagged in \p app_unchanged (or whose fingerprint
-  /// matches) reuse the base's AppEvaluation; without one, every app goes
-  /// through the design memo.
+  /// \p base, apps whose interval list equals the base's (or whose
+  /// fingerprint matches) reuse the base's AppEvaluation; without one,
+  /// every app goes through the design memo.
   ScheduleEvaluation complete(sched::ScheduleTiming&& timing,
-                              const ScheduleEvaluation* base,
-                              const std::vector<bool>& app_unchanged);
+                              const ScheduleEvaluation* base);
   /// Mode dispatch: binary or context-sensitive timing derivation of a
   /// raw task sequence.
   sched::ScheduleTiming derive(const std::vector<std::size_t>& seq,
                                std::size_t num_apps) const;
-  /// derive(), then flag every app whose interval list equals \p base's:
-  /// the from-scratch form of a neighbor derivation.
+  /// derive(), then flag every app whose interval list equals \p base's.
   sched::ScheduleTiming derive_compared(const std::vector<std::size_t>& seq,
-                                        std::size_t num_apps,
                                         const sched::ScheduleTiming& base,
                                         std::vector<bool>* app_unchanged) const;
-  sched::TimingPattern expand(const sched::InterleavedSchedule& s) const;
 
   using MemoKey = std::pair<std::size_t, std::vector<std::int64_t>>;
 

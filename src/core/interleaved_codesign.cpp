@@ -43,7 +43,7 @@ std::vector<Segment> merge_adjacent(std::vector<Segment> segs) {
 /// *other* std::invalid_argument still propagates as the bug it would be.
 /// When the candidate is kept and a descriptor is set, it describes the
 /// candidate as a one-task edit (\p move) or a block rotation (\p rot) of
-/// the base sequence (the incremental evaluation paths).
+/// the base sequence.
 void push_if_valid(std::vector<InterleavedNeighbor>& out,
                    std::vector<Segment> segs, std::size_t num_apps,
                    std::optional<TaskMove> move = std::nullopt,
@@ -114,10 +114,9 @@ std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
     }
     // Swap with the cyclic successor: not a one-task edit, but a
     // non-wrapping swap IS a left rotation of the two segments' combined
-    // task range by the first segment's count — the rotation descriptor
-    // routes it through derive_timing_rotation. The wrap-around swap
-    // (last segment with first) rotates the canonical sequence itself and
-    // stays on the from-scratch fallback.
+    // task range by the first segment's count. The wrap-around swap (last
+    // segment with first) rotates the canonical sequence itself and gets
+    // no descriptor.
     if (segs.size() > 2) {
       auto swapped = segs;
       std::swap(swapped[s], swapped[(s + 1) % swapped.size()]);
@@ -146,10 +145,9 @@ std::vector<InterleavedNeighbor> interleaved_neighbor_moves(
     }
   }
 
-  // Safety net for the delta contract: a descriptor is only kept when the
-  // candidate's canonical task sequence really is the base sequence with
-  // the one edit / rotation applied (segment merges can rotate it; see
-  // above).
+  // A descriptor is only kept when the candidate's canonical task sequence
+  // really is the base sequence with the one edit / rotation applied
+  // (segment merges can rotate it; see above).
   for (InterleavedNeighbor& nb : out) {
     if (nb.move && sched::apply_move(base_seq, *nb.move) !=
                        nb.schedule.task_sequence()) {
@@ -197,33 +195,19 @@ opt::DiscreteObjective make_interleaved_objective(Evaluator& evaluator,
   };
 }
 
-/// The anchored objective: evaluates \p point against an Anchor on
-/// \p base, with the delta descriptor interleaved_neighbor_moves gives the
-/// point (none when it is not a listed neighbor — still bit-identical, the
-/// anchor then only lends its per-app reuse).
+/// The anchored objective: evaluates \p point against \p base's cached
+/// evaluation, whose per-app results are reused where the point's pattern
+/// is unchanged.
 opt::NeighborObjective make_interleaved_neighbor_objective(
-    Evaluator& evaluator, std::size_t num_apps,
-    const InterleavedSearchOptions& opts) {
-  return [&evaluator, num_apps, opts](const std::vector<int>& base,
-                                      const std::vector<int>& point) {
+    Evaluator& evaluator, std::size_t num_apps) {
+  return [&evaluator, num_apps](const std::vector<int>& base,
+                                const std::vector<int>& point) {
     const InterleavedSchedule base_schedule = decode(base, num_apps);
+    const ScheduleEvaluation& base_eval =
+        evaluator.evaluate_cached(base_schedule, base_schedule.to_string());
     const InterleavedSchedule s = decode(point, num_apps);
-    std::optional<TaskMove> move;
-    std::optional<sched::BlockRotation> rotation;
-    for (InterleavedNeighbor& nb :
-         interleaved_neighbor_moves(base_schedule, opts)) {
-      if (nb.schedule == s) {
-        move = std::move(nb.move);
-        rotation = std::move(nb.rotation);
-        break;
-      }
-    }
-    const std::string base_key = base_schedule.to_string();
-    const Anchor anchor{evaluator.timing_pattern(base_schedule, base_key),
-                        evaluator.evaluate_cached(base_schedule, base_key),
-                        std::move(move), std::move(rotation)};
     const ScheduleEvaluation& ev =
-        evaluator.evaluate_cached(s, s.to_string(), &anchor);
+        evaluator.evaluate_cached(s, s.to_string(), &base_eval);
     return opt::EvalOutcome{ev.pall, ev.feasible()};
   };
 }
@@ -326,7 +310,7 @@ InterleavedSearchResult interleaved_search(
   // Round 0 evaluates the start, round k the neighborhood of step k.
   const opt::PortfolioResult race_res = opt::race_owned(
       lane, make_interleaved_objective(evaluator, num_apps),
-      make_interleaved_neighbor_objective(evaluator, num_apps, opts),
+      make_interleaved_neighbor_objective(evaluator, num_apps),
       opts.max_steps + 1, 0, opts.anytime, pool);
   const auto& driver = static_cast<const InterleavedDriver&>(*lane.front());
   InterleavedSearchResult res;

@@ -54,18 +54,17 @@ struct InterleavedSearchResult {
   RunTelemetry telemetry;
 };
 
-/// One neighbor candidate plus its delta descriptor (at most one is set):
+/// One neighbor candidate plus the edit that produces it from the base
+/// (at most one is set, each verified against the candidate):
 ///  * `move` iff the neighbor's task sequence is exactly the base sequence
 ///    with one task inserted/removed (grow/shrink/insert/remove moves; a
 ///    removal whose segment merge wraps around the period rotates the
-///    sequence and gets no descriptor) — consumed by derive_timing_delta;
+///    sequence and gets no descriptor);
 ///  * `rotation` iff it is the base sequence with one contiguous block
-///    left-rotated (non-wrapping segment swaps) — consumed by
-///    derive_timing_rotation.
-/// Either descriptor reproduces the from-scratch derivation bit-for-bit;
-/// neighbors with neither (wrapping swaps) are derived from scratch. The
-/// search hands each neighbor to the evaluator as an Anchor on the
-/// current schedule with these descriptors.
+///    left-rotated (non-wrapping segment swaps).
+/// The search itself evaluates a neighbor from its schedule alone (against
+/// the current schedule's evaluation); the descriptors feed
+/// Evaluator::derive_neighbor_timing's descriptor overloads.
 struct InterleavedNeighbor {
   sched::InterleavedSchedule schedule;
   std::optional<sched::TaskMove> move;
@@ -73,7 +72,7 @@ struct InterleavedNeighbor {
 };
 
 /// All valid one-move neighbors of an interleaved schedule, each with its
-/// delta descriptor when it has one:
+/// edit descriptor when it has one:
 ///  * increment / decrement one segment's count,
 ///  * remove a count-1 segment (merging newly adjacent same-app segments),
 ///  * insert a new count-1 segment of any app at any gap,

@@ -200,10 +200,6 @@ MultiStartResult hybrid_search_multistart(
       res.combined = r;
     }
   }
-  if (opts.anytime.budget != nullptr && opts.anytime.budget->cancelled()) {
-    res.telemetry.stop = opts.anytime.budget->reason();
-    res.combined.telemetry.stop = res.telemetry.stop;
-  }
   return res;
 }
 

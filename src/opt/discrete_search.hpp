@@ -40,13 +40,12 @@ struct EvalOutcome {
 /// Expensive objective over integer decision vectors (m1..mn), maximized.
 using DiscreteObjective = std::function<EvalOutcome(const std::vector<int>&)>;
 
-/// Optional delta-aware objective: evaluate `point` as a neighbor of
-/// `base` (the hybrid lanes pass single-dimension +-1 moves, the
-/// interleaved search its segment moves). MUST return
-/// a result bit-identical to the plain objective on `point` — the memo
-/// stores whichever path computed a point first, so any divergence would
-/// leak across runs. Implementations fall back internally when the pair is
-/// not delta-representable (core::make_neighbor_objective does).
+/// Optional neighbor objective: evaluate `point` as a neighbor of `base`
+/// (the hybrid lanes pass single-dimension +-1 moves, the interleaved
+/// search its segment moves), reusing what the base's evaluation already
+/// holds. MUST return a result bit-identical to the plain objective on
+/// `point` — the memo stores whichever path computed a point first, so any
+/// divergence would leak across runs.
 using NeighborObjective = std::function<EvalOutcome(
     const std::vector<int>& base, const std::vector<int>& point)>;
 
@@ -87,7 +86,7 @@ EvaluationTable decode_evaluation_table(
 class EvalCache {
 public:
   /// With a non-null \p neighbor objective, evaluate_neighbor_of routes
-  /// memo misses through it (the delta-aware path); results must be
+  /// memo misses through it; results must be
   /// bit-identical to \p objective (see NeighborObjective).
   explicit EvalCache(DiscreteObjective objective,
                      NeighborObjective neighbor = nullptr)
@@ -100,7 +99,7 @@ public:
                               std::atomic<int>* misses = nullptr);
 
   /// Same, evaluating a memo miss as a neighbor of \p base when the
-  /// delta-aware objective is configured.
+  /// neighbor objective is configured.
   const EvalOutcome& evaluate_neighbor_of(const std::vector<int>& base,
                                           const std::vector<int>& p,
                                           std::atomic<int>* misses = nullptr);

@@ -16,7 +16,7 @@
 ///   1. every live driver proposes a batch;
 ///   2. ONE pooled fan-out evaluates all proposals of the round through
 ///      the shared memo (misses only cost once, duplicates across drivers
-///      dedup), each point anchored at its own driver's delta base and its
+///      dedup), each point anchored at its own driver's base and its
 ///      miss charged to that driver;
 ///   3. every driver observes its own outcomes, in roster order, and the
 ///      incumbent folds in;

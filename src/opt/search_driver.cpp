@@ -477,7 +477,7 @@ class PatternDriver final : public SearchDriver {
   }
 
   const std::vector<int>* anchor() const override {
-    // Only the final step size proposes +-1 neighbors (the delta contract).
+    // Only the final step size proposes +-1 neighbors (see anchor()).
     return seeded_ && step_ == 1 ? &cur_ : nullptr;
   }
 

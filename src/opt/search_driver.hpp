@@ -62,10 +62,10 @@ class SearchDriver {
   virtual void observe(const std::vector<std::vector<int>>& points,
                        const std::vector<const EvalOutcome*>& outcomes) = 0;
 
-  /// Optional delta anchor: when every point of the next batch is a
-  /// one-move neighbor of one base point (+-1 in one dimension for the
-  /// drivers here), return it and the cache routes misses through the
-  /// delta-aware objective. Null = no common base.
+  /// Optional anchor: when every point of the next batch is a one-move
+  /// neighbor of one base point (+-1 in one dimension for the drivers
+  /// here), return it and the cache routes misses through the neighbor
+  /// objective. Null = no common base.
   virtual const std::vector<int>* anchor() const { return nullptr; }
 
  protected:

@@ -117,9 +117,9 @@ ScheduleTiming derive_timing(const std::vector<AppWcet>& wcets,
 
 /// Derive timing directly from a raw task sequence (one app index per
 /// task). derive_timing on a schedule equals derive_timing on
-/// schedule.task_sequence() bit-for-bit; this overload is the reference the
-/// incremental path (derive_timing_delta) is differentially tested against,
-/// since a moved task sequence need not start on a segment boundary.
+/// schedule.task_sequence() bit-for-bit; a neighbor's timing is this
+/// derivation on its edited sequence (apply_move / apply_rotation), which
+/// need not start on a segment boundary.
 /// \throws std::invalid_argument on empty sequence, out-of-range app index,
 ///         or an app in [0, num_apps) with no task.
 ScheduleTiming derive_timing(const std::vector<AppWcet>& wcets,
@@ -156,64 +156,16 @@ struct TaskMove {
   std::size_t app = 0;
 };
 
-/// Expanded steady-state pattern of one schedule: the per-task arrays the
-/// timing derivation runs on, kept so a neighbor (one-task move) can be
-/// re-derived incrementally instead of from scratch. Built once per base
-/// schedule by expand_timing, consumed by derive_timing_delta.
+/// A base schedule as the neighbor derivations see it: its task sequence
+/// (the one apply_move / apply_rotation edit) and its derived timing (the
+/// interval lists a neighbor's are compared against).
 struct TimingPattern {
-  std::vector<std::size_t> seq;     ///< app index per task
-  std::vector<unsigned char> warm;  ///< steady-state warm classification
-  std::vector<double> exec;         ///< per-task WCET (warm or cold)
-  std::vector<double> start;        ///< task start offsets within the period
-  /// Per-task interference masks (see compute_context_masks); only filled
-  /// by the context-sensitive expand_timing overloads, empty otherwise.
-  std::vector<std::uint64_t> masks;
-  double period = 0.0;
-  ScheduleTiming timing;            ///< == derive_timing of the schedule
+  std::vector<std::size_t> seq;  ///< app index per task
+  ScheduleTiming timing;         ///< == derive_timing of the schedule
 };
 
-/// Expand a schedule into its per-task pattern plus derived timing.
-/// pattern.timing is bit-identical to derive_timing(wcets, schedule).
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const InterleavedSchedule& schedule);
-
-/// Same, from a raw task sequence (see the seq overload of derive_timing).
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const std::vector<std::size_t>& seq,
-                            std::size_t num_apps);
-
-/// Context-sensitive pattern expansion (fills TimingPattern::masks);
-/// pattern.timing == derive_timing(wcets, contexts, ...) bit-for-bit.
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const InterleavedSchedule& schedule);
-TimingPattern expand_timing(const std::vector<AppWcet>& wcets,
-                            const ContextWcetLookup& contexts,
-                            const std::vector<std::size_t>& seq,
-                            std::size_t num_apps);
-
-/// Incremental re-derivation: timing of the schedule obtained by applying
-/// \p move to \p base, bit-identical to derive_timing on the moved task
-/// sequence (differentially gtest-enforced). Only the affected warm/cold
-/// classifications are re-derived and only start offsets at or after the
-/// move position are re-accumulated (the clean prefix is reused verbatim,
-/// which is what keeps the result bit-exact: the dirty tail is recomputed
-/// with the same operation sequence the from-scratch derivation uses).
-/// If \p app_unchanged is non-null it receives one flag per app: true iff
-/// that app's interval list is value-identical to the base schedule's (the
-/// evaluator uses this to reuse the app's design without re-quantizing).
-/// Binary cold/warm only: under context-sensitive WCETs a one-task move
-/// can change interference masks far from the edit, so the evaluator's
-/// derive_neighbor_timing re-derives from scratch in that mode instead.
-/// \throws std::invalid_argument on an out-of-range move, or a removal
-///         that would leave an app with no task.
-ScheduleTiming derive_timing_delta(const std::vector<AppWcet>& wcets,
-                                   const TimingPattern& base,
-                                   const TaskMove& move,
-                                   std::vector<bool>* app_unchanged = nullptr);
-
-/// Apply a task move to a sequence (the incremental path's notion of the
-/// moved schedule; helper for tests and move construction).
+/// Apply a task move to a sequence: the moved schedule's task sequence.
+/// \throws std::invalid_argument on an out-of-range position.
 std::vector<std::size_t> apply_move(const std::vector<std::size_t>& seq,
                                     const TaskMove& move);
 
@@ -229,28 +181,11 @@ struct BlockRotation {
   std::size_t shift = 0;  ///< left-rotation amount, in (0, len)
 };
 
-/// Apply a block rotation to a sequence (helper for tests and descriptor
-/// verification).
+/// Apply a block rotation to a sequence: the swapped schedule's task
+/// sequence.
 /// \throws std::invalid_argument on an out-of-range or degenerate rotation.
 std::vector<std::size_t> apply_rotation(const std::vector<std::size_t>& seq,
                                         const BlockRotation& rot);
-
-/// Incremental re-derivation for segment swaps: timing of the schedule
-/// whose task sequence is \p base's with \p rot applied, bit-identical to
-/// derive_timing on the rotated sequence (differentially gtest-enforced).
-/// A rotation preserves every adjacency except three seams (the range
-/// head, the internal block boundary, and the first task after the
-/// range), so exactly those classifications are patched; start offsets
-/// reuse the clean prefix and replay the accumulate_starts recurrence
-/// over the dirty tail; interval counts never change, so every app's base
-/// interval list is copied wholesale and patched in place. \p app_unchanged
-/// receives per-app flags exactly like derive_timing_delta.
-/// Binary cold/warm only (see derive_timing_delta for the context-mode
-/// rationale — the evaluator re-derives from scratch there).
-/// \throws std::invalid_argument on an out-of-range or degenerate rotation.
-ScheduleTiming derive_timing_rotation(
-    const std::vector<AppWcet>& wcets, const TimingPattern& base,
-    const BlockRotation& rot, std::vector<bool>* app_unchanged = nullptr);
 
 /// Paper eq. (4): h_i^max <= tidle_i for every application.
 /// \throws std::invalid_argument if tidle size mismatches.

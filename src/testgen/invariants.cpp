@@ -356,83 +356,6 @@ InvariantReport check_invariants(const core::SystemModel& model,
       return rep;
     }
   }
-  {
-    const sched::TimingPattern pattern = sched::expand_timing(wcets, inter);
-    if (!fail.require(timing_equal(t_binary, pattern.timing), "timing-delta",
-                      "expand_timing mismatch for " + inter.to_string())) {
-      return rep;
-    }
-    for (int k = 0; k < 4; ++k) {
-      sched::TaskMove move;
-      if (rng.chance(0.5)) {
-        move.kind = sched::TaskMove::Kind::insert;
-        move.pos = rng.index(tasks + 1);
-        move.app = rng.index(n);
-      } else {
-        move.kind = sched::TaskMove::Kind::remove;
-        move.pos = rng.index(tasks);
-        // A removal must leave its app with at least one task.
-        if (std::count(seq.begin(), seq.end(), seq[move.pos]) < 2) continue;
-      }
-      const std::vector<std::size_t> moved = sched::apply_move(seq, move);
-      const sched::ScheduleTiming scratch =
-          sched::derive_timing(wcets, moved, n);
-      std::vector<bool> unchanged;
-      const sched::ScheduleTiming delta =
-          sched::derive_timing_delta(wcets, pattern, move, &unchanged);
-      std::ostringstream os;
-      os << (move.kind == sched::TaskMove::Kind::insert ? "insert" : "remove")
-         << " pos=" << move.pos << " app=" << move.app << " of "
-         << inter.to_string();
-      if (!fail.require(timing_equal(delta, scratch), "timing-delta",
-                        os.str())) {
-        return rep;
-      }
-      for (std::size_t a = 0; a < n; ++a) {
-        const bool identical =
-            pattern.timing.apps[a].intervals == scratch.apps[a].intervals;
-        if (unchanged[a] && !identical) {
-          if (!fail.require(false, "timing-delta",
-                            os.str() + ": unchanged flag on changed app " +
-                                std::to_string(a))) {
-            return rep;
-          }
-        }
-      }
-    }
-    // Block-rotation delta (the segment-swap path): same bit-identity and
-    // flag-exactness contract as timing-delta, over random valid blocks.
-    for (int k = 0; k < 4 && tasks >= 2; ++k) {
-      sched::BlockRotation rot;
-      rot.len = 2 + rng.index(tasks - 1);        // in [2, tasks]
-      rot.pos = rng.index(tasks - rot.len + 1);  // non-wrapping
-      rot.shift = 1 + rng.index(rot.len - 1);    // in [1, len-1]
-      const std::vector<std::size_t> rotated = sched::apply_rotation(seq, rot);
-      const sched::ScheduleTiming scratch =
-          sched::derive_timing(wcets, rotated, n);
-      std::vector<bool> unchanged;
-      const sched::ScheduleTiming delta =
-          sched::derive_timing_rotation(wcets, pattern, rot, &unchanged);
-      std::ostringstream os;
-      os << "rotate pos=" << rot.pos << " len=" << rot.len
-         << " shift=" << rot.shift << " of " << inter.to_string();
-      if (!fail.require(timing_equal(delta, scratch), "timing-rotation",
-                        os.str())) {
-        return rep;
-      }
-      for (std::size_t a = 0; a < n; ++a) {
-        const bool identical =
-            pattern.timing.apps[a].intervals == scratch.apps[a].intervals;
-        if (unchanged[a] != identical) {
-          if (!fail.require(false, "timing-rotation",
-                            os.str() + ": unchanged flag wrong on app " +
-                                std::to_string(a))) {
-            return rep;
-          }
-        }
-      }
-    }
-  }
 
   // ------------------------------------- E. EDF / preemptive consistency
   {
@@ -513,22 +436,21 @@ InvariantReport check_invariants(const core::SystemModel& model,
   iopts.max_segments = 6;
   iopts.max_burst = 3;
   const std::string inter_key = inter.to_string();
-  // Anchored evaluation vs the anchor-free reference on up to \p moves
-  // one-task-move neighbors, one block-rotation neighbor and one
-  // descriptor-free neighbor of `inter` (all three share one path).
+  // Evaluation against `inter`'s evaluation vs the plain reference on up
+  // to \p moves one-task-move neighbors, one block-rotation neighbor and
+  // one descriptor-free neighbor of `inter` (all three share one path).
   const auto anchored_matches = [&](core::Evaluator& e, int moves,
                                     const char* check) {
     const core::ScheduleEvaluation& base_eval =
         e.evaluate_cached(inter, inter_key);
-    const sched::TimingPattern& pattern = e.timing_pattern(inter, inter_key);
     int left[3] = {moves, 1, 1};  // move, rotation, neither
     for (const core::InterleavedNeighbor& nb :
          core::interleaved_neighbor_moves(inter, iopts)) {
       int& quota = left[nb.move ? 0 : nb.rotation ? 1 : 2];
       if (quota == 0) continue;
       --quota;
-      const core::Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
-      const core::ScheduleEvaluation anchored = e.evaluate(nb.schedule, &anchor);
+      const core::ScheduleEvaluation anchored =
+          e.evaluate(nb.schedule, &base_eval);
       const core::ScheduleEvaluation scratch = e.evaluate(nb.schedule);
       if (!fail.require(eval_equal(anchored, scratch), check,
                         nb.schedule.to_string())) {

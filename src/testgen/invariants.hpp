@@ -5,9 +5,10 @@
 ///        on hand-built fixtures — warm <= context <= cold and mask
 ///        monotonicity of the schedule-dependent WCET engine, concrete
 ///        replay never exceeding its bound, binary/context timing
-///        derivation identities, delta-vs-scratch and serial-vs-parallel
-///        bit-identity of the search stack, evaluator memo-count sanity,
-///        and EDF/RM feasibility consistency. check_invariants is a pure
+///        derivation identities, anchored-vs-plain evaluation and
+///        serial-vs-parallel bit-identity of the search stack, evaluator
+///        memo-count sanity, and EDF/RM feasibility consistency.
+///        check_invariants is a pure
 ///        function of (model, seed, options): the schedules it exercises
 ///        are drawn deterministically from the seed, so a failure report
 ///        is reproducible from its printed seed alone and remains
@@ -83,10 +84,10 @@ struct InvariantReport {
 ///   wcet-pair, analyzer-base, fm-le-am, fm-memo, fm-replay,
 ///   wcet-ordering, injected-context-below-warm,
 ///   wcet-monotonic, replay-bound, timing-cold-fallback,
-///   timing-schedule-vs-seq, timing-delta, timing-rotation, edf-util,
-///   edf-vs-rta, rta-crpd-monotone, preemptive-timing, neighbor-eval,
-///   neighbor-eval-context, memo-counts, search-hybrid,
-///   search-exhaustive, search-interleaved, search-portfolio.
+///   timing-schedule-vs-seq, edf-util, edf-vs-rta, rta-crpd-monotone,
+///   preemptive-timing, neighbor-eval, neighbor-eval-context,
+///   memo-counts, search-hybrid, search-exhaustive, search-interleaved,
+///   search-portfolio.
 InvariantReport check_invariants(const core::SystemModel& model,
                                  std::uint64_t seed,
                                  const InvariantOptions& opts = {});

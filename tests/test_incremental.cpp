@@ -1,13 +1,14 @@
 /// \file test_incremental.cpp
-/// \brief Incremental re-evaluation tests: derive_timing_delta must be
-///        bit-identical to from-scratch derivation over randomized move
-///        sequences, anchored Evaluator::evaluate(s, &anchor) bit-identical
-///        to the anchor-free evaluate(s) for every neighbor class, the
-///        interleaved search's accepted path reproducing on a fresh
-///        evaluator (at 1/2/4 threads), the delta-routed hybrid search
-///        bit-identical to the plain objective with memo counters never
-///        exceeding its counts, quantization rejecting degenerate
-///        intervals, and the static-WCET subtree memo differential.
+/// \brief Neighbor re-evaluation tests: Evaluator::derive_neighbor_timing
+///        rejecting invalid move and rotation descriptors, neighbor
+///        generation carrying exact rotation descriptors, anchored
+///        Evaluator::evaluate(s, &base) bit-identical to the plain
+///        evaluate(s) for every neighbor class, the interleaved search's
+///        accepted path reproducing on a fresh evaluator (at 1/2/4
+///        threads), the neighbor-routed hybrid search bit-identical to the
+///        plain objective with memo counters never exceeding its counts,
+///        quantization rejecting degenerate intervals, and the static-WCET
+///        subtree memo differential.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -31,20 +31,16 @@
 
 namespace {
 
-using catsched::core::Anchor;
 using catsched::core::Application;
 using catsched::core::Evaluator;
+using catsched::core::EvaluatorOptions;
 using catsched::core::interleaved_neighbor_moves;
 using catsched::core::interleaved_search;
 using catsched::core::InterleavedSearchOptions;
 using catsched::core::quantize_intervals;
 using catsched::core::ScheduleEvaluation;
 using catsched::core::SystemModel;
-using catsched::sched::AppWcet;
-using catsched::sched::apply_move;
-using catsched::sched::derive_timing;
-using catsched::sched::derive_timing_delta;
-using catsched::sched::expand_timing;
+using catsched::sched::BlockRotation;
 using catsched::sched::InterleavedSchedule;
 using catsched::sched::Interval;
 using catsched::sched::PeriodicSchedule;
@@ -57,7 +53,7 @@ namespace linalg = catsched::linalg;
 namespace opt = catsched::opt;
 
 /// Bit-level equality (EXPECT_EQ on doubles would also pass -0.0 == 0.0;
-/// the delta contract is the stronger "same bits").
+/// the anchored-evaluation contract is the stronger "same bits").
 bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -86,148 +82,6 @@ bool same_bits(double a, double b) {
     }
   }
   return ::testing::AssertionResult(true);
-}
-
-TEST(DeriveTimingDelta, MatchesFromScratchOnRandomMoveSequences) {
-  std::mt19937 rng(42);
-  std::uniform_real_distribution<double> wc(0.2e-3, 3.0e-3);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t num_apps = 1 + rng() % 4;
-    std::vector<AppWcet> wcets(num_apps);
-    for (auto& w : wcets) {
-      w.cold_seconds = wc(rng);
-      std::uniform_real_distribution<double> warm(0.1 * w.cold_seconds,
-                                                  w.cold_seconds);
-      w.warm_seconds = warm(rng);
-    }
-    // Random start sequence containing every app at least once.
-    std::vector<std::size_t> seq;
-    for (std::size_t a = 0; a < num_apps; ++a) seq.push_back(a);
-    const std::size_t extra = rng() % 8;
-    for (std::size_t k = 0; k < extra; ++k) seq.push_back(rng() % num_apps);
-    std::shuffle(seq.begin(), seq.end(), rng);
-
-    TimingPattern pattern = expand_timing(wcets, seq, num_apps);
-    for (int moves = 0; moves < 30; ++moves) {
-      // Random valid move (removals may not orphan an app).
-      TaskMove move;
-      const bool can_remove = seq.size() > num_apps;  // conservative
-      if (!can_remove || rng() % 2 == 0) {
-        move.kind = TaskMove::Kind::insert;
-        move.pos = rng() % (seq.size() + 1);
-        move.app = rng() % num_apps;
-      } else {
-        move.kind = TaskMove::Kind::remove;
-        // Retry until the removal keeps every app present.
-        do {
-          move.pos = rng() % seq.size();
-        } while (pattern.timing.apps[seq[move.pos]].intervals.size() < 2);
-        move.app = seq[move.pos];
-      }
-
-      std::vector<bool> unchanged;
-      const ScheduleTiming delta =
-          derive_timing_delta(wcets, pattern, move, &unchanged);
-      seq = apply_move(seq, move);
-      const ScheduleTiming scratch = derive_timing(wcets, seq, num_apps);
-      ASSERT_TRUE(timing_identical(delta, scratch))
-          << "trial " << trial << " move " << moves;
-      // The unchanged flags must be exact: set iff the interval list is
-      // value-identical to the base schedule's.
-      for (std::size_t a = 0; a < num_apps; ++a) {
-        ASSERT_EQ(unchanged[a],
-                  delta.apps[a].intervals == pattern.timing.apps[a].intervals)
-            << "trial " << trial << " move " << moves << " app " << a;
-      }
-      pattern = expand_timing(wcets, seq, num_apps);
-      ASSERT_TRUE(timing_identical(pattern.timing, scratch));
-    }
-  }
-}
-
-TEST(DeriveTimingDelta, RejectsInvalidMoves) {
-  const std::vector<AppWcet> wcets{{1e-3, 0.5e-3}, {2e-3, 1e-3}};
-  const TimingPattern pattern = expand_timing(wcets, {0, 1, 0}, 2);
-  TaskMove bad;
-  bad.kind = TaskMove::Kind::insert;
-  bad.pos = 5;
-  EXPECT_THROW(derive_timing_delta(wcets, pattern, bad),
-               std::invalid_argument);
-  bad.pos = 0;
-  bad.app = 7;
-  EXPECT_THROW(derive_timing_delta(wcets, pattern, bad),
-               std::invalid_argument);
-  TaskMove orphan;
-  orphan.kind = TaskMove::Kind::remove;
-  orphan.pos = 1;  // app 1's only task
-  EXPECT_THROW(derive_timing_delta(wcets, pattern, orphan),
-               std::invalid_argument);
-}
-
-TEST(DeriveTimingRotation, MatchesFromScratchOnRandomRotations) {
-  std::mt19937 rng(1042);
-  std::uniform_real_distribution<double> wc(0.2e-3, 3.0e-3);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t num_apps = 1 + rng() % 4;
-    std::vector<AppWcet> wcets(num_apps);
-    for (auto& w : wcets) {
-      w.cold_seconds = wc(rng);
-      std::uniform_real_distribution<double> warm(0.1 * w.cold_seconds,
-                                                  w.cold_seconds);
-      w.warm_seconds = warm(rng);
-    }
-    std::vector<std::size_t> seq;
-    for (std::size_t a = 0; a < num_apps; ++a) seq.push_back(a);
-    const std::size_t extra = 2 + rng() % 8;  // need length >= 2 to rotate
-    for (std::size_t k = 0; k < extra; ++k) seq.push_back(rng() % num_apps);
-    std::shuffle(seq.begin(), seq.end(), rng);
-
-    TimingPattern pattern = expand_timing(wcets, seq, num_apps);
-    for (int rotations = 0; rotations < 30; ++rotations) {
-      catsched::sched::BlockRotation rot;
-      rot.len = 2 + rng() % (seq.size() - 1);         // in [2, t]
-      rot.pos = rng() % (seq.size() - rot.len + 1);   // non-wrapping
-      rot.shift = 1 + rng() % (rot.len - 1);          // in [1, len-1]
-
-      std::vector<bool> unchanged;
-      const ScheduleTiming delta = catsched::sched::derive_timing_rotation(
-          wcets, pattern, rot, &unchanged);
-      seq = catsched::sched::apply_rotation(seq, rot);
-      const ScheduleTiming scratch = derive_timing(wcets, seq, num_apps);
-      ASSERT_TRUE(timing_identical(delta, scratch))
-          << "trial " << trial << " rotation " << rotations << " pos "
-          << rot.pos << " len " << rot.len << " shift " << rot.shift;
-      // Exact unchanged flags: set iff the interval list is
-      // value-identical to the base schedule's. A rotation can reorder an
-      // app's occurrences inside the range, so this exercises the
-      // re-read-all-in-range path, not only the three seams.
-      for (std::size_t a = 0; a < num_apps; ++a) {
-        ASSERT_EQ(unchanged[a],
-                  delta.apps[a].intervals == pattern.timing.apps[a].intervals)
-            << "trial " << trial << " rotation " << rotations << " app " << a;
-      }
-      pattern = expand_timing(wcets, seq, num_apps);
-      ASSERT_TRUE(timing_identical(pattern.timing, scratch));
-    }
-  }
-}
-
-TEST(DeriveTimingRotation, RejectsInvalidRotations) {
-  const std::vector<AppWcet> wcets{{1e-3, 0.5e-3}, {2e-3, 1e-3}};
-  const TimingPattern pattern = expand_timing(wcets, {0, 1, 0}, 2);
-  using catsched::sched::BlockRotation;
-  using catsched::sched::derive_timing_rotation;
-  // Range past the end of the sequence.
-  EXPECT_THROW(derive_timing_rotation(wcets, pattern, BlockRotation{2, 2, 1}),
-               std::invalid_argument);
-  // Degenerate block (len < 2).
-  EXPECT_THROW(derive_timing_rotation(wcets, pattern, BlockRotation{0, 1, 0}),
-               std::invalid_argument);
-  // Identity / out-of-range shift.
-  EXPECT_THROW(derive_timing_rotation(wcets, pattern, BlockRotation{0, 2, 0}),
-               std::invalid_argument);
-  EXPECT_THROW(derive_timing_rotation(wcets, pattern, BlockRotation{0, 2, 2}),
-               std::invalid_argument);
 }
 
 TEST(DeriveTimingRotation, SegmentSwapNeighborsCarryRotationDescriptors) {
@@ -334,6 +188,55 @@ SystemModel three_app_system() {
   return sys;
 }
 
+TEST(DeriveNeighborTiming, RejectsInvalidMoves) {
+  const InterleavedSchedule base({{0, 2}, {1, 1}}, 2);  // tasks 0 0 1
+  for (const bool context : {false, true}) {
+    SCOPED_TRACE(context ? "context WCETs" : "binary WCETs");
+    Evaluator ev(tiny_system(), fast_options(), nullptr,
+                 EvaluatorOptions{.context_wcets = context});
+    const TimingPattern& pattern = ev.timing_pattern(base, base.to_string());
+    TaskMove bad;
+    bad.kind = TaskMove::Kind::insert;
+    bad.pos = 5;  // past the end
+    EXPECT_THROW(ev.derive_neighbor_timing(pattern, bad, nullptr),
+                 std::invalid_argument);
+    bad.pos = 0;
+    bad.app = 7;  // no such app
+    EXPECT_THROW(ev.derive_neighbor_timing(pattern, bad, nullptr),
+                 std::invalid_argument);
+    TaskMove orphan;
+    orphan.kind = TaskMove::Kind::remove;
+    orphan.pos = 2;  // app 1's only task
+    EXPECT_THROW(ev.derive_neighbor_timing(pattern, orphan, nullptr),
+                 std::invalid_argument);
+  }
+}
+
+TEST(DeriveNeighborTiming, RejectsInvalidRotations) {
+  const InterleavedSchedule base({{0, 2}, {1, 1}}, 2);  // tasks 0 0 1
+  for (const bool context : {false, true}) {
+    SCOPED_TRACE(context ? "context WCETs" : "binary WCETs");
+    Evaluator ev(tiny_system(), fast_options(), nullptr,
+                 EvaluatorOptions{.context_wcets = context});
+    const TimingPattern& pattern = ev.timing_pattern(base, base.to_string());
+    // Range past the end of the sequence.
+    EXPECT_THROW(
+        ev.derive_neighbor_timing(pattern, BlockRotation{2, 2, 1}, nullptr),
+        std::invalid_argument);
+    // Degenerate block (len < 2).
+    EXPECT_THROW(
+        ev.derive_neighbor_timing(pattern, BlockRotation{0, 1, 0}, nullptr),
+        std::invalid_argument);
+    // Identity / out-of-range shift.
+    EXPECT_THROW(
+        ev.derive_neighbor_timing(pattern, BlockRotation{0, 2, 0}, nullptr),
+        std::invalid_argument);
+    EXPECT_THROW(
+        ev.derive_neighbor_timing(pattern, BlockRotation{0, 2, 2}, nullptr),
+        std::invalid_argument);
+  }
+}
+
 TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
   Evaluator ev(three_app_system(), fast_options());
   // Non-wrapping swaps of this base are rotations, the wrap-around swap
@@ -349,8 +252,7 @@ TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
   int per_class[3] = {0, 0, 0};  // move, rotation, neither
   for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
     ++per_class[nb.move ? 0 : nb.rotation ? 1 : 2];
-    const Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
-    const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &anchor);
+    const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &base_eval);
     ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
     ASSERT_TRUE(timing_identical(anchored.timing, scratch.timing))
         << nb.schedule.to_string();
@@ -367,10 +269,17 @@ TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
       ASSERT_EQ(anchored.apps[i].feasible, scratch.apps[i].feasible);
       ASSERT_EQ(anchored.apps[i].pattern_key, scratch.apps[i].pattern_key);
     }
-    // The idle pre-filter's derivation is the one the evaluation used.
-    ASSERT_TRUE(timing_identical(
-        ev.derive_neighbor_timing(nb.schedule, anchor, nullptr),
-        scratch.timing));
+    // A descriptor derives the same timing the evaluation used.
+    if (nb.move) {
+      ASSERT_TRUE(timing_identical(
+          ev.derive_neighbor_timing(pattern, *nb.move, nullptr),
+          scratch.timing));
+    }
+    if (nb.rotation) {
+      ASSERT_TRUE(timing_identical(
+          ev.derive_neighbor_timing(pattern, *nb.rotation, nullptr),
+          scratch.timing));
+    }
   }
   // All three neighbor classes went through the anchored path.
   EXPECT_GT(per_class[0], 0);
@@ -379,16 +288,13 @@ TEST(EvaluateAnchored, BitIdenticalToFromScratchEvaluation) {
 }
 
 TEST(EvaluateAnchored, UnusableAnchorIsIgnored) {
-  // An anchor whose evaluation has no per-app state (a default-constructed
+  // A base evaluation with no per-app state (a default-constructed
   // ScheduleEvaluation) falls back to the plain evaluation: no neighbor
   // completion is counted and nothing is reused.
   Evaluator ev(tiny_system(), fast_options());
-  const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
   const InterleavedSchedule moved({{0, 3}, {1, 2}}, 2);
   const ScheduleEvaluation synthetic;
-  const Anchor anchor{ev.timing_pattern(base, base.to_string()), synthetic,
-                      std::nullopt, std::nullopt};
-  const ScheduleEvaluation via_anchor = ev.evaluate(moved, &anchor);
+  const ScheduleEvaluation via_anchor = ev.evaluate(moved, &synthetic);
   EXPECT_EQ(ev.neighbor_evaluations(), 0);
   EXPECT_EQ(ev.apps_reused(), 0);
   EXPECT_TRUE(same_bits(via_anchor.pall, ev.evaluate(moved).pall));
@@ -403,12 +309,10 @@ TEST(EvaluateAnchored, SwapAnchorReusesUntouchedApps) {
   const InterleavedSchedule swapped(
       {{0, 1}, {1, 1}, {0, 1}, {2, 1}, {1, 1}}, 3);
   const ScheduleEvaluation base_eval = ev.evaluate(base);
-  const Anchor anchor{ev.timing_pattern(base, base.to_string()), base_eval,
-                      std::nullopt, std::nullopt};
 
   ScheduleEvaluation plain = ev.evaluate(swapped);
   const int reused_before = ev.apps_reused();
-  ScheduleEvaluation anchored = ev.evaluate(swapped, &anchor);
+  ScheduleEvaluation anchored = ev.evaluate(swapped, &base_eval);
   // App A (index 0) has no task in the swapped window and the window's
   // total duration is unchanged (all cold singletons), so its pattern —
   // and at worst its quantized fingerprint — survives the swap.
@@ -489,8 +393,8 @@ TEST(IncrementalSearch, AcceptedPathReproducesOnFreshEvaluatorAtEveryThreadCount
 }
 
 TEST(IncrementalHybrid, DeltaRoutedCodesignMatchesPlainObjective) {
-  // find_optimal_schedule wires the delta-aware neighbor objective; the
-  // plain multistart (no neighbor objective) is the from-scratch baseline.
+  // find_optimal_schedule wires the neighbor objective; the plain
+  // multistart (no neighbor objective) is the from-scratch baseline.
   opt::HybridOptions hopts;
   hopts.max_value = 4;
   const std::vector<std::vector<int>> starts{{1, 1}, {2, 1}};

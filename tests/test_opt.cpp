@@ -324,6 +324,42 @@ TEST(HybridSearch, RejectsInfeasibleStart) {
                std::invalid_argument);
 }
 
+TEST(HybridSearch, MultiStartCapReachedInTheLastRoundReportsCompleted) {
+  // 2-D bowl with its optimum at (3, 3), from (1, 1): the walk ends by
+  // itself after 4 steps and 11 evaluated points. A cap of exactly 11 is
+  // reached in the last round, so the run did all its work; multi-start
+  // must report the race's reason, as a lone hybrid_search under the same
+  // cap does.
+  const auto bowl2 = [](const std::vector<int>& m) {
+    return EvalOutcome{
+        1.0 - 0.05 * ((m[0] - 3) * (m[0] - 3) + (m[1] - 3) * (m[1] - 3)),
+        true};
+  };
+  const auto in_box = [](const std::vector<int>&) { return true; };
+  HybridOptions opts;
+  opts.max_value = 6;
+  catsched::core::RunBudget lone_budget;
+  lone_budget.set_max_evaluations(11);
+  opts.anytime.budget = &lone_budget;
+  EvalCache cache(bowl2);
+  const auto lone = hybrid_search(cache, in_box, {1, 1}, opts);
+  EXPECT_EQ(lone.path.size(), 5u);
+  EXPECT_EQ(lone.steps, 4);
+  EXPECT_EQ(cache.unique_evaluations(), 11);
+  EXPECT_EQ(lone.telemetry.stop, catsched::core::StopReason::completed);
+
+  catsched::core::RunBudget budget;
+  budget.set_max_evaluations(11);
+  opts.anytime.budget = &budget;
+  const auto ms = hybrid_search_multistart(bowl2, in_box, {{1, 1}}, opts);
+  EXPECT_EQ(ms.unique_evaluations, 11);
+  ASSERT_EQ(ms.runs.size(), 1u);
+  EXPECT_EQ(ms.runs[0].steps, 4);
+  EXPECT_EQ(ms.combined.best, (std::vector<int>{3, 3}));
+  EXPECT_EQ(ms.telemetry.stop, catsched::core::StopReason::completed);
+  EXPECT_EQ(ms.combined.telemetry.stop, catsched::core::StopReason::completed);
+}
+
 // ------------------------------------------------------------ exhaustive
 
 TEST(Exhaustive, EnumeratesDownwardClosedRegion) {

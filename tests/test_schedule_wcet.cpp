@@ -31,7 +31,6 @@
 
 namespace {
 
-using catsched::core::Anchor;
 using catsched::core::Application;
 using catsched::core::Evaluator;
 using catsched::core::EvaluatorOptions;
@@ -409,11 +408,6 @@ TEST(DeriveTiming, ColdLookupMatchesBinaryBitForBit) {
   const ScheduleTiming binary = derive_timing(wcets, seq, 3);
   const ScheduleTiming ctx = derive_timing(wcets, table, seq, 3);
   EXPECT_TRUE(timing_identical(binary, ctx));
-
-  const TimingPattern p =
-      catsched::sched::expand_timing(wcets, table, seq, 3);
-  EXPECT_TRUE(timing_identical(p.timing, binary));
-  EXPECT_EQ(p.masks.size(), seq.size());
 }
 
 TEST(DeriveTiming, ContextBoundsShortenPeriods) {
@@ -703,40 +697,67 @@ TEST(Evaluator, ContextModeShortensPeriodsAndKeepsBinaryModeUntouched) {
   EXPECT_LT(ec.timing.period, eb.timing.period);
 }
 
-TEST(Evaluator, ContextNeighborPathBitIdenticalToFromScratch) {
-  Evaluator ev(partial_overlap_system(), fast_options(), nullptr,
-               EvaluatorOptions{.context_wcets = true});
-  const InterleavedSchedule base({{0, 2}, {1, 2}}, 2);
-  const std::string base_key = base.to_string();
-  const ScheduleEvaluation& base_eval = ev.evaluate_cached(base, base_key);
-  const TimingPattern& pattern = ev.timing_pattern(base, base_key);
-  EXPECT_EQ(pattern.masks.size(), pattern.seq.size());
+/// partial_overlap_system plus a third app whose singletons sit on sets
+/// 20..79, overlapping both others, so segment swaps can give valid
+/// schedules (with two apps every swap puts same-app segments side by
+/// side).
+SystemModel three_app_overlap_system() {
+  SystemModel sys = partial_overlap_system();
+  Application c = sys.apps[0];
+  c.name = "C";
+  c.program.name = "C";
+  for (auto& line : c.program.trace) line += 20;
+  c.weight = 0.2;
+  sys.apps[0].weight = 0.5;
+  sys.apps[1].weight = 0.3;
+  sys.apps.push_back(c);
+  return sys;
+}
 
+TEST(Evaluator, ContextNeighborPathBitIdenticalToFromScratch) {
+  // A move, a non-wrapping swap (a rotation) and the wrapping swap (no
+  // descriptor) of this base, in both WCET modes: the descriptor overloads
+  // and the evaluation against the base both equal the plain derivation.
+  const InterleavedSchedule base({{0, 2}, {1, 1}, {2, 1}}, 3);
+  const std::string base_key = base.to_string();
   InterleavedSearchOptions opts;
   opts.max_segments = 4;
   opts.max_burst = 4;
-  int checked = 0;
-  for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
-    if (!nb.move) continue;
-    ++checked;
-    const Anchor anchor{pattern, base_eval, nb.move, nb.rotation};
-    std::vector<bool> unchanged;
-    ScheduleTiming timing =
-        ev.derive_neighbor_timing(nb.schedule, anchor, &unchanged);
-    const ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
-    ASSERT_TRUE(timing_identical(timing, scratch.timing))
-        << nb.schedule.to_string();
-    for (std::size_t a = 0; a < unchanged.size(); ++a) {
-      ASSERT_EQ(unchanged[a], timing.apps[a].intervals ==
-                                  pattern.timing.apps[a].intervals);
+  for (const bool context : {false, true}) {
+    SCOPED_TRACE(context ? "context WCETs" : "binary WCETs");
+    Evaluator ev(three_app_overlap_system(), fast_options(), nullptr,
+                 EvaluatorOptions{.context_wcets = context});
+    const ScheduleEvaluation& base_eval = ev.evaluate_cached(base, base_key);
+    const TimingPattern& pattern = ev.timing_pattern(base, base_key);
+    EXPECT_TRUE(timing_identical(pattern.timing, base_eval.timing));
+    int per_class[3] = {0, 0, 0};  // move, rotation, neither
+    for (const auto& nb : interleaved_neighbor_moves(base, opts)) {
+      ++per_class[nb.move ? 0 : nb.rotation ? 1 : 2];
+      const ScheduleEvaluation scratch = ev.evaluate(nb.schedule);
+      if (nb.move || nb.rotation) {
+        std::vector<bool> unchanged;
+        const ScheduleTiming timing =
+            nb.move
+                ? ev.derive_neighbor_timing(pattern, *nb.move, &unchanged)
+                : ev.derive_neighbor_timing(pattern, *nb.rotation, &unchanged);
+        ASSERT_TRUE(timing_identical(timing, scratch.timing))
+            << nb.schedule.to_string();
+        ASSERT_EQ(unchanged.size(), timing.apps.size());
+        for (std::size_t a = 0; a < unchanged.size(); ++a) {
+          ASSERT_EQ(unchanged[a], timing.apps[a].intervals ==
+                                      pattern.timing.apps[a].intervals);
+        }
+      }
+      const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &base_eval);
+      ASSERT_TRUE(timing_identical(anchored.timing, scratch.timing));
+      ASSERT_TRUE(same_bits(anchored.pall, scratch.pall))
+          << nb.schedule.to_string();
+      ASSERT_EQ(anchored.feasible(), scratch.feasible());
     }
-    const ScheduleEvaluation anchored = ev.evaluate(nb.schedule, &anchor);
-    ASSERT_TRUE(timing_identical(anchored.timing, scratch.timing));
-    ASSERT_TRUE(same_bits(anchored.pall, scratch.pall))
-        << nb.schedule.to_string();
-    ASSERT_EQ(anchored.feasible(), scratch.feasible());
+    EXPECT_GT(per_class[0], 0);
+    EXPECT_GT(per_class[1], 0);
+    EXPECT_GT(per_class[2], 0);
   }
-  EXPECT_GT(checked, 0);
 }
 
 TEST(InterleavedSearch, SerialAndParallelBitIdenticalWithContexts) {

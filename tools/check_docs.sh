@@ -8,6 +8,12 @@
 #     fuzz_invariants sweep and bench_snapshot checkpoint-overhead entries
 #     (these surfaces must stay documented, not just listed)
 #   * README must link both documents
+#   * every back-ticked qualified name `ns::name` (ns one of sched, core,
+#     opt, cache, control, linalg, testgen) in README.md and docs/*.md must
+#     name a word that still occurs in src/, and every back-ticked `BM_*`
+#     kernel must still be registered with BENCHMARK() in
+#     bench/bench_micro.cpp, so a deleted API or bench cannot stay
+#     documented
 # Exits non-zero listing everything missing, so adding a module or bench
 # without documenting it fails the build.
 set -u
@@ -101,6 +107,27 @@ fi
 for doc in docs/ARCHITECTURE.md docs/BENCHMARKS.md; do
   if ! grep -q "$doc" README.md; then
     echo "check_docs: README.md does not link $doc"
+    fail=1
+  fi
+done
+
+# Back-ticked spans of the user-facing docs (one per line).
+code_spans() {
+  grep -ohE '`[^`]+`' README.md docs/*.md
+}
+
+for qualified in $(code_spans |
+    grep -oE '(sched|core|opt|cache|control|linalg|testgen)::[A-Za-z_][A-Za-z0-9_]*' |
+    sort -u); do
+  if ! grep -rqw -- "${qualified#*::}" src; then
+    echo "check_docs: the docs name \`$qualified\`, which src/ no longer has"
+    fail=1
+  fi
+done
+
+for name in $(code_spans | grep -oE 'BM_[A-Za-z0-9_]+' | sort -u); do
+  if ! grep -qF "BENCHMARK($name)" bench/bench_micro.cpp; then
+    echo "check_docs: the docs name \`$name\`, which bench/bench_micro.cpp does not register"
     fail=1
   fi
 done

@@ -8,9 +8,9 @@
 #     fuzz_invariants sweep and bench_snapshot checkpoint-overhead entries
 #     (these surfaces must stay documented, not just listed)
 #   * README must link both documents
-#   * every back-ticked qualified name `ns::name` (ns one of sched, core,
-#     opt, cache, control, linalg, testgen) in README.md and docs/*.md must
-#     name a word that still occurs in src/, and every back-ticked `BM_*`
+#   * every back-ticked qualified name `a::b::c` (any depth, std:: names
+#     excepted) in README.md and docs/*.md must have each of its
+#     components still occurring as a word in src/, and every back-ticked `BM_*`
 #     kernel must still be registered with BENCHMARK() in
 #     bench/bench_micro.cpp, so a deleted API or bench cannot stay
 #     documented
@@ -116,13 +116,17 @@ code_spans() {
   grep -ohE '`[^`]+`' README.md docs/*.md
 }
 
+# Every component counts: `core::SystemModel::gone` must fail even though
+# `SystemModel` is still there.
 for qualified in $(code_spans |
-    grep -oE '(sched|core|opt|cache|control|linalg|testgen)::[A-Za-z_][A-Za-z0-9_]*' |
-    sort -u); do
-  if ! grep -rqw -- "${qualified#*::}" src; then
-    echo "check_docs: the docs name \`$qualified\`, which src/ no longer has"
-    fail=1
-  fi
+    grep -oE '[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' |
+    grep -v '^std::' | sort -u); do
+  for part in $(echo "$qualified" | sed 's/::/ /g'); do
+    if ! grep -rqw -- "$part" src; then
+      echo "check_docs: the docs name \`$qualified\`, whose \`$part\` src/ no longer has"
+      fail=1
+    fi
+  done
 done
 
 for name in $(code_spans | grep -oE 'BM_[A-Za-z0-9_]+' | sort -u); do

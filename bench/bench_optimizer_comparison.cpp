@@ -92,8 +92,6 @@ int main() {
     opt::AnnealDriverOptions aopts;
     aopts.iterations = 120;
     aopts.batch = 1;  // one proposal per round: sequential annealing
-    aopts.initial_temperature = 0.05;
-    aopts.cooling = 0.97;
     aopts.max_value = 8;
     return opt::make_anneal_driver("anneal", std::move(cheap), {1, 1, 1},
                                    aopts);

@@ -100,17 +100,6 @@ ScheduleWcetAnalyzer::ScheduleWcetAnalyzer(
   }
 }
 
-std::unique_ptr<ScheduleWcetAnalyzer> ScheduleWcetAnalyzer::from_traces(
-    const std::vector<Program>& programs, const CacheConfig& config) {
-  std::vector<StructuredProgram> structured;
-  structured.reserve(programs.size());
-  for (const Program& p : programs) {
-    structured.push_back(StructuredProgram{p.name, Stmt::block(p.trace)});
-  }
-  return std::make_unique<ScheduleWcetAnalyzer>(std::move(structured),
-                                                config);
-}
-
 const StaticSteadyWcet& ScheduleWcetAnalyzer::base(std::size_t app) const {
   return apps_.at(app)->steady;
 }

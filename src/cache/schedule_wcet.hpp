@@ -107,16 +107,6 @@ public:
                        const CacheConfig& config,
                        FirstMiss first_miss = FirstMiss::on);
 
-  /// Lift concrete worst-case-path traces (core::SystemModel's program
-  /// images) into single-block structured programs. The analysis of a
-  /// single path is exact, so cold/warm agree with the simulator's
-  /// analyze_wcet (gtest-enforced) — and since a branch-free sequential
-  /// walk keeps every persistence counter at or above the corresponding
-  /// must age, first-miss never fires on lifted traces and the bounds are
-  /// bit-identical in both FirstMiss modes.
-  static std::unique_ptr<ScheduleWcetAnalyzer> from_traces(
-      const std::vector<Program>& programs, const CacheConfig& config);
-
   std::size_t num_apps() const noexcept { return apps_.size(); }
   const CacheConfig& config() const noexcept { return config_; }
   FirstMiss first_miss() const noexcept { return first_miss_; }

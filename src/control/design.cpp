@@ -20,6 +20,10 @@ namespace catsched::control {
 
 namespace {
 
+/// Half-width of the PSO gain box per dimension, relative to the magnitude
+/// of the box center's entry.
+constexpr double kGainBoxFactor = 3.0;
+
 // The cost rule of a simulated candidate, in three terms that both the
 // final cost and its running lower bound are written from.
 
@@ -61,7 +65,6 @@ DesignObjective::DesignObjective(const DesignSpec& spec,
     : spec_(spec),
       sim_(spec.plant, intervals, opts.dense_dt),
       eq_(equilibrium_at(spec.plant, spec.y0)),
-      stability_margin_(opts.stability_margin),
       exact_feedforward_(opts.exact_feedforward) {
   sim_opts_.r = spec.r;
   sim_opts_.horizon = opts.horizon_factor * spec.smax;
@@ -137,7 +140,7 @@ double DesignObjective::operator()(const std::vector<double>& theta,
   const double rho =
       linalg::spectral_radius(closed_loop_monodromy(sim_.phases(), k));
   const double horizon = sim_opts_.horizon;
-  if (rho >= 1.0 - stability_margin_) {
+  if (rho >= 1.0 - kStabilityMargin) {
     return 1.0e3 * horizon * (1.0 + rho);  // graded push toward stability
   }
   const auto f = feedforward(k);
@@ -166,7 +169,7 @@ DesignResult report_for(const DesignObjective& objective,
   } catch (const std::runtime_error&) {
     res.spectral_radius = std::numeric_limits<double>::infinity();
   }
-  const auto f = res.spectral_radius < 1.0 - objective.stability_margin()
+  const auto f = res.spectral_radius < 1.0 - kStabilityMargin
                      ? objective.feedforward(k)
                      : std::nullopt;
   if (!f) {
@@ -344,7 +347,7 @@ DesignResult design_controller(const DesignSpec& spec,
   std::vector<double> lo(m * l);
   std::vector<double> hi(m * l);
   for (std::size_t d = 0; d < m * l; ++d) {
-    const double half = opts.gain_box_factor *
+    const double half = kGainBoxFactor *
                         std::max(std::abs(center[d]), 0.1 * scale);
     lo[d] = center[d] - half;
     hi[d] = center[d] + half;
@@ -413,19 +416,6 @@ DesignResult design_controller(const DesignSpec& spec,
   evals += pol.evaluations;
   if (pol.cost < best_cost) best = pol.x;
   return report_for(objective, objective.gains(best), evals);
-}
-
-std::vector<DesignResult> design_batch(
-    const std::vector<DesignProblem>& problems, const DesignOptions& opts,
-    core::ThreadPool* pool) {
-  std::vector<DesignResult> results(problems.size());
-  // Problems land in index-addressed slots; each design may itself batch
-  // its particle generations on the same pool (parallel_for nests safely).
-  core::parallel_for(pool, problems.size(), [&](std::size_t i) {
-    results[i] =
-        design_controller(problems[i].spec, problems[i].intervals, opts, pool);
-  });
-  return results;
 }
 
 DesignResult evaluate_gains(const DesignSpec& spec,

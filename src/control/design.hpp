@@ -33,6 +33,10 @@ struct DesignSpec {
   double settle_band = 0.02;  ///< +-2% settling band (paper Sec. II-A)
 };
 
+/// A closed loop counts as stable when its monodromy's spectral radius is
+/// below 1 - kStabilityMargin.
+inline constexpr double kStabilityMargin = 1e-9;
+
 /// Knobs of the design search.
 struct DesignOptions {
   opt::PsoOptions pso{};
@@ -40,13 +44,11 @@ struct DesignOptions {
   double horizon_factor = 1.6;   ///< sim horizon = factor * smax
   bool exact_feedforward = true; ///< false = paper eq. (17) per-interval FF
   bool settle_on_samples = true; ///< measure settling on y[k] (Sec. II-A)
-  double stability_margin = 1e-9;
   /// Pole-pattern grid for the Ackermann seeding stage (average-rate
   /// system): every (radius, angle) pair becomes a candidate pole set.
   std::vector<double> seed_pole_radii = {0.05, 0.15, 0.3, 0.45, 0.6,
                                          0.7,  0.8,  0.88, 0.94};
   std::vector<double> seed_pole_angles = {0.0, 0.2, 0.45, 0.8};
-  double gain_box_factor = 3.0;  ///< per-dim box halfwidth / |center entry|
   int pso_restarts = 2;          ///< independent swarm restarts (best kept)
   /// Grow the swarm with the number of gain dimensions (m*l); disable for
   /// fast unit tests that provide an explicit small budget.
@@ -91,14 +93,12 @@ public:
   const SwitchedSimulator& simulator() const noexcept { return sim_; }
   const Equilibrium& equilibrium() const noexcept { return eq_; }
   const SimOptions& sim_options() const noexcept { return sim_opts_; }
-  double stability_margin() const noexcept { return stability_margin_; }
 
 private:
   DesignSpec spec_;
   SwitchedSimulator sim_;
   Equilibrium eq_;
   SimOptions sim_opts_;
-  double stability_margin_;
   bool exact_feedforward_;
 };
 
@@ -128,23 +128,6 @@ DesignResult design_controller(const DesignSpec& spec,
                                const std::vector<sched::Interval>& intervals,
                                const DesignOptions& opts = {},
                                core::ThreadPool* pool = nullptr);
-
-/// One candidate of a batched design: an application's control spec plus
-/// the timing pattern a schedule hands it.
-struct DesignProblem {
-  DesignSpec spec;
-  std::vector<sched::Interval> intervals;
-};
-
-/// Batched holistic design: run design_controller for every problem,
-/// fanning the problems (and, nested, each problem's particle batches)
-/// across \p pool. Results are returned in problem order and are
-/// bit-identical to calling design_controller serially on each problem —
-/// the batch only decides *where* candidates are evaluated, never *what*.
-/// Used by core::Evaluator to design all apps of one schedule at once.
-std::vector<DesignResult> design_batch(
-    const std::vector<DesignProblem>& problems, const DesignOptions& opts = {},
-    core::ThreadPool* pool = nullptr);
 
 /// Evaluate a fixed set of gains against a spec/timing (used by ablation
 /// benches, the robustness study and tests): same metrics as

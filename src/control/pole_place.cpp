@@ -1,6 +1,5 @@
 #include "control/pole_place.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -34,24 +33,6 @@ Matrix place_poles(const Matrix& a, const Matrix& b,
   const Matrix w = linalg::LU(ctrb.transposed()).solve(e_l);
   const Matrix k_neg = w.transposed() * phi_a;
   return -k_neg;
-}
-
-double static_feedforward(const Matrix& a, const Matrix& b, const Matrix& c,
-                          const Matrix& k) {
-  const std::size_t l = a.rows();
-  if (k.rows() != 1 || k.cols() != l) {
-    throw std::invalid_argument("static_feedforward: K must be 1 x l");
-  }
-  Matrix m = Matrix::identity(l) - a - b * k;
-  linalg::LU lu(m);
-  if (lu.singular()) {
-    throw std::domain_error("static_feedforward: I - A - BK singular");
-  }
-  const Matrix dc = c * lu.solve(b);
-  if (std::abs(dc(0, 0)) < 1e-14) {
-    throw std::domain_error("static_feedforward: zero DC gain");
-  }
-  return 1.0 / dc(0, 0);
 }
 
 }  // namespace catsched::control

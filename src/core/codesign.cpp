@@ -72,7 +72,9 @@ ExhaustiveCodesignResult exhaustive_codesign(Evaluator& evaluator,
   if (res.details.found_feasible) {
     res.found = true;
     res.best_schedule = sched::PeriodicSchedule(res.details.best);
-    res.best_evaluation = evaluator.evaluate(res.best_schedule);
+    // The winner was evaluated during the scan: a memo hit, not a rerun.
+    res.best_evaluation = evaluator.evaluate_cached(
+        sched::InterleavedSchedule::from_periodic(res.best_schedule));
   }
   return res;
 }

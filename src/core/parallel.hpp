@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -47,19 +46,6 @@ public:
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Fire-and-forget task.
-  void post(std::function<void()> task);
-
-  /// Task with a result.
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using R = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
-    std::future<R> fut = task->get_future();
-    post([task] { (*task)(); });
-    return fut;
-  }
-
   /// Run body(0..n-1), distributing iterations over the pool plus the
   /// calling thread. Blocks until every iteration finished or the loop
   /// short-circuited. The first exception thrown by any iteration is
@@ -68,16 +54,13 @@ public:
   /// still finish). Iteration order across threads is unspecified; callers
   /// needing determinism must write to per-index slots.
   ///
-  /// Scheduling is dynamic in chunks of default_chunk() iterations: threads
-  /// claim the next unclaimed chunk from a shared atomic index, so a few
-  /// expensive iterations (e.g. candidates that survive the feasibility
-  /// early-outs) cannot strand the rest of the index space on one worker.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Same, with an explicit chunk size (iterations claimed per atomic
-  /// increment). chunk == 0 means default_chunk(n). Larger chunks amortize
-  /// the claim for very cheap bodies; chunk 1 balances best when per-
-  /// iteration cost varies wildly.
+  /// Scheduling is dynamic in chunks of \p chunk iterations (0 means
+  /// default_chunk()): threads claim the next unclaimed chunk from a shared
+  /// atomic index, so a few expensive iterations (e.g. candidates that
+  /// survive the feasibility early-outs) cannot strand the rest of the
+  /// index space on one worker. Larger chunks amortize the claim for very
+  /// cheap bodies; chunk 1 balances best when per-iteration cost varies
+  /// wildly.
   ///
   /// When \p budget is non-null it is consulted at every chunk claim: once
   /// the budget fires, remaining chunks are skipped (their bodies never
@@ -96,10 +79,9 @@ public:
   static std::size_t default_chunk(std::size_t n,
                                    std::size_t participants) noexcept;
 
-  /// Process-wide pool sized to the hardware (lazily created).
-  static ThreadPool& shared();
-
 private:
+  /// Fire-and-forget task.
+  void post(std::function<void()> task);
   void worker_loop();
 
   std::vector<std::thread> workers_;

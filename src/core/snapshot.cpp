@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 namespace catsched::core {
 
@@ -59,6 +60,8 @@ const char* to_string(SnapshotErrc code) noexcept {
       return "truncated";
     case SnapshotErrc::checksum_mismatch:
       return "checksum_mismatch";
+    case SnapshotErrc::bad_value:
+      return "bad_value";
   }
   return "unknown";
 }
@@ -72,7 +75,6 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) noexcept {
   return h;
 }
 
-void SnapshotWriter::put_u32(std::uint32_t v) { put_u32_le(buf_, v); }
 void SnapshotWriter::put_u64(std::uint64_t v) { put_u64_le(buf_, v); }
 
 void SnapshotWriter::put_i64(std::int64_t v) {
@@ -81,15 +83,6 @@ void SnapshotWriter::put_i64(std::int64_t v) {
 
 void SnapshotWriter::put_f64(double v) {
   put_u64(std::bit_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::put_bytes(const std::uint8_t* data, std::size_t n) {
-  buf_.insert(buf_.end(), data, data + n);
-}
-
-void SnapshotWriter::put_string(const std::string& s) {
-  put_u64(s.size());
-  put_bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
 }
 
 void SnapshotWriter::put_int_vector(const std::vector<int>& v) {
@@ -109,13 +102,6 @@ std::uint8_t SnapshotReader::get_u8() {
   return data_[pos_++];
 }
 
-std::uint32_t SnapshotReader::get_u32() {
-  need(4);
-  const std::uint32_t v = get_u32_le(data_ + pos_);
-  pos_ += 4;
-  return v;
-}
-
 std::uint64_t SnapshotReader::get_u64() {
   need(8);
   const std::uint64_t v = get_u64_le(data_ + pos_);
@@ -128,15 +114,6 @@ std::int64_t SnapshotReader::get_i64() {
 }
 
 double SnapshotReader::get_f64() { return std::bit_cast<double>(get_u64()); }
-
-std::string SnapshotReader::get_string() {
-  const std::uint64_t len = get_u64();
-  need(static_cast<std::size_t>(len));
-  std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                static_cast<std::size_t>(len));
-  pos_ += static_cast<std::size_t>(len);
-  return s;
-}
 
 std::uint64_t SnapshotReader::get_count(std::size_t min_entry_bytes) {
   const std::uint64_t count = get_u64();
@@ -154,7 +131,13 @@ std::vector<int> SnapshotReader::get_int_vector() {
   std::vector<int> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
-    v.push_back(static_cast<int>(get_i64()));
+    const std::int64_t x = get_i64();
+    if (x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max()) {
+      throw SnapshotError(SnapshotErrc::bad_value,
+                          "snapshot vector element outside int range");
+    }
+    v.push_back(static_cast<int>(x));
   }
   return v;
 }
@@ -163,7 +146,7 @@ std::vector<std::uint8_t> frame_snapshot(
     std::uint32_t kind, const std::vector<std::uint8_t>& payload) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + payload.size() + kTrailerSize);
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u32_le(out, kSnapshotVersion);
   put_u32_le(out, kind);
   put_u64_le(out, payload.size());

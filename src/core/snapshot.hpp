@@ -61,6 +61,7 @@ enum class SnapshotErrc : std::uint8_t {
   bad_kind,           ///< valid snapshot, wrong subsystem
   truncated,          ///< file shorter than the declared payload + framing
   checksum_mismatch,  ///< payload bytes damaged (torn or corrupted write)
+  bad_value,          ///< a decoded field lies outside its domain
 };
 
 /// Stable short name ("checksum_mismatch", ...) for logs and tests.
@@ -87,13 +88,9 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) noexcept;
 class SnapshotWriter {
  public:
   void put_u8(std::uint8_t v) { buf_.push_back(v); }
-  void put_u32(std::uint32_t v);
   void put_u64(std::uint64_t v);
   void put_i64(std::int64_t v);  ///< two's-complement via u64
   void put_f64(double v);        ///< IEEE-754 bit pattern, bit-exact
-  void put_bytes(const std::uint8_t* data, std::size_t n);
-  /// u64 length prefix + raw bytes.
-  void put_string(const std::string& s);
   /// u64 count prefix + elements as i64 (schedule bursts, search points).
   void put_int_vector(const std::vector<int>& v);
 
@@ -105,7 +102,8 @@ class SnapshotWriter {
 };
 
 /// Bounds-checked payload decoder; every underrun throws
-/// SnapshotError(truncated) instead of reading garbage.
+/// SnapshotError(truncated) instead of reading garbage, and a field outside
+/// its domain throws SnapshotError(bad_value).
 class SnapshotReader {
  public:
   SnapshotReader(const std::uint8_t* data, std::size_t size)
@@ -114,11 +112,10 @@ class SnapshotReader {
       : SnapshotReader(bytes.data(), bytes.size()) {}
 
   std::uint8_t get_u8();
-  std::uint32_t get_u32();
   std::uint64_t get_u64();
   std::int64_t get_i64();
   double get_f64();
-  std::string get_string();
+  /// \throws SnapshotError(bad_value) on an element outside int's range.
   std::vector<int> get_int_vector();
   /// Element count of a sequence whose entries take at least
   /// \p min_entry_bytes each: reads a u64 and rejects it as truncated when
@@ -127,7 +124,6 @@ class SnapshotReader {
   std::uint64_t get_count(std::size_t min_entry_bytes);
 
   std::size_t remaining() const noexcept { return size_ - pos_; }
-  bool at_end() const noexcept { return pos_ == size_; }
 
  private:
   void need(std::size_t n) const;

@@ -75,21 +75,10 @@ SystemModel::make_context_analyzer() const {
                                                        cache_config);
 }
 
-sched::ContextWcetTable SystemModel::analyze_context_wcets() const {
-  return make_context_analyzer()->full_table();
-}
-
 std::vector<double> SystemModel::tidle_vector() const {
   std::vector<double> v;
   v.reserve(apps.size());
   for (const Application& a : apps) v.push_back(a.tidle);
-  return v;
-}
-
-std::vector<double> SystemModel::weight_vector() const {
-  std::vector<double> v;
-  v.reserve(apps.size());
-  for (const Application& a : apps) v.push_back(a.weight);
   return v;
 }
 

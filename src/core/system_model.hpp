@@ -82,14 +82,8 @@ struct SystemModel {
   /// \throws std::runtime_error like analyze_wcets on a non-steady program.
   std::unique_ptr<cache::ScheduleWcetAnalyzer> make_context_analyzer() const;
 
-  /// The fully materialized per-context WCET table alongside the cold/warm
-  /// pair — every interference mask of every app, eagerly analyzed (small
-  /// systems; the lazy analyzer above serves large ones).
-  sched::ContextWcetTable analyze_context_wcets() const;
-
-  /// Table II-style constraint vectors.
+  /// Table II-style idle-time constraint vector.
   std::vector<double> tidle_vector() const;
-  std::vector<double> weight_vector() const;
 };
 
 }  // namespace catsched::core

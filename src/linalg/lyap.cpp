@@ -77,29 +77,6 @@ Matrix solve_discrete_lyapunov(const Matrix& a, const Matrix& q) {
   return unvec(x, n, n);
 }
 
-Matrix solve_continuous_lyapunov(const Matrix& a, const Matrix& q) {
-  require_square_same(a, q, "solve_continuous_lyapunov");
-  const std::size_t n = a.rows();
-  // (I (x) A + A (x) I) vec(X) = -vec(Q).
-  const Matrix id = Matrix::identity(n);
-  const Matrix m = kron(id, a) + kron(a, id);
-  const Matrix x = checked_solve(m, -vec(q), "solve_continuous_lyapunov");
-  return unvec(x, n, n);
-}
-
-Matrix solve_sylvester(const Matrix& a, const Matrix& b, const Matrix& c) {
-  if (!a.is_square() || !b.is_square() || c.rows() != a.rows() ||
-      c.cols() != b.rows()) {
-    throw std::invalid_argument("solve_sylvester: dimension mismatch");
-  }
-  const std::size_t n = a.rows(), m = b.rows();
-  // vec(A X + X B) = (I_m (x) A + B^T (x) I_n) vec(X) = vec(C).
-  const Matrix lhs =
-      kron(Matrix::identity(m), a) + kron(b.transposed(), Matrix::identity(n));
-  const Matrix x = checked_solve(lhs, vec(c), "solve_sylvester");
-  return unvec(x, n, m);
-}
-
 Matrix solve_stein(const Matrix& a, const Matrix& b, const Matrix& c) {
   if (!a.is_square() || !b.is_square() || c.rows() != a.rows() ||
       c.cols() != b.rows()) {

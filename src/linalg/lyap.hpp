@@ -1,8 +1,9 @@
 #pragma once
 /// \file lyap.hpp
-/// \brief Lyapunov and Sylvester equation solvers for small dense systems,
-///        via Kronecker-product linearization. Used for infinite-horizon
-///        quadratic cost evaluation (LQR metric) and covariance analysis.
+/// \brief Discrete Lyapunov and Stein equation solvers for small dense
+///        systems, via Kronecker-product linearization. The Stein solver
+///        evaluates the infinite-horizon quadratic cost of a lifted periodic
+///        loop (control/lqr).
 ///
 /// Systems in this library are small (a few states; lifted periodic systems
 /// a few dozen), so the O(n^6) Kronecker route is both simple and fast
@@ -30,15 +31,6 @@ Matrix unvec(const Matrix& v, std::size_t rows, std::size_t cols);
 /// \throws std::invalid_argument on dimension mismatch,
 ///         std::domain_error if the equation is singular.
 Matrix solve_discrete_lyapunov(const Matrix& a, const Matrix& q);
-
-/// Solve the continuous-time Lyapunov equation
-///   A X + X A^T + Q = 0.
-/// \throws std::invalid_argument / std::domain_error as above.
-Matrix solve_continuous_lyapunov(const Matrix& a, const Matrix& q);
-
-/// Solve the Sylvester equation A X + X B = C with A (n x n), B (m x m),
-/// C (n x m). \throws std::invalid_argument / std::domain_error as above.
-Matrix solve_sylvester(const Matrix& a, const Matrix& b, const Matrix& c);
 
 /// Solve the discrete ("Stein") Sylvester equation A X B - X + C = 0.
 /// \throws std::invalid_argument / std::domain_error as above.

@@ -10,23 +10,6 @@
 
 namespace catsched::linalg {
 
-double Svd::cond() const noexcept {
-  if (sigma.empty()) return 0.0;
-  const double smin = sigma.back();
-  if (smin == 0.0) return std::numeric_limits<double>::infinity();
-  return sigma.front() / smin;
-}
-
-std::size_t Svd::rank(double rel_tol) const noexcept {
-  if (sigma.empty()) return 0;
-  const double thresh = rel_tol * sigma.front();
-  std::size_t r = 0;
-  for (double s : sigma) {
-    if (s > thresh) ++r;
-  }
-  return r;
-}
-
 Svd svd(const Matrix& a) {
   // One-sided Jacobi on the columns of W (a copy of A, transposed if m < n
   // so that the working matrix is tall). Rotations orthogonalize column
@@ -120,29 +103,6 @@ Svd svd(const Matrix& a) {
   } else {
     out.u = std::move(u);
     out.v = std::move(vperm);
-  }
-  return out;
-}
-
-std::vector<double> singular_values(const Matrix& a) { return svd(a).sigma; }
-
-Matrix pinv(const Matrix& a, double rel_tol) {
-  const Svd d = svd(a);
-  const std::size_t k = d.sigma.size();
-  Matrix out(a.cols(), a.rows());
-  if (k == 0) return out;
-  const double thresh = rel_tol * d.sigma.front();
-  // A+ = V * diag(1/sigma) * U^T over the retained spectrum.
-  for (std::size_t j = 0; j < k; ++j) {
-    if (d.sigma[j] <= thresh) break;
-    const double inv = 1.0 / d.sigma[j];
-    for (std::size_t r = 0; r < a.cols(); ++r) {
-      const double vrj = d.v(r, j) * inv;
-      if (vrj == 0.0) continue;
-      for (std::size_t c = 0; c < a.rows(); ++c) {
-        out(r, c) += vrj * d.u(c, j);
-      }
-    }
   }
   return out;
 }

@@ -3,8 +3,8 @@
 /// \brief Singular value decomposition via one-sided Jacobi rotations.
 ///        Chosen over Golub-Kahan bidiagonalization for its simplicity and
 ///        unconditional robustness on the small matrices this library
-///        manipulates (controllability Gramians, gain blocks, lifted
-///        monodromy factors).
+///        manipulates. The joint spectral radius bound (control/jsr) takes
+///        2-norms of lifted monodromy products from it.
 
 #include <vector>
 
@@ -21,24 +21,11 @@ struct Svd {
 
   /// Largest singular value (0 for an empty matrix).
   double norm2() const noexcept { return sigma.empty() ? 0.0 : sigma.front(); }
-
-  /// 2-norm condition number; infinity if the smallest singular value is 0.
-  double cond() const noexcept;
-
-  /// Numerical rank: singular values above rel_tol * sigma_max.
-  std::size_t rank(double rel_tol = 1e-12) const noexcept;
 };
 
 /// Compute the thin SVD of any rectangular matrix.
 /// \throws std::runtime_error if Jacobi sweeps fail to converge (does not
 ///         happen for finite inputs within the generous sweep cap).
 Svd svd(const Matrix& a);
-
-/// Convenience: singular values only, descending.
-std::vector<double> singular_values(const Matrix& a);
-
-/// Moore-Penrose pseudo-inverse via SVD, truncating singular values below
-/// rel_tol * sigma_max. Used for MIMO setpoint feedforward.
-Matrix pinv(const Matrix& a, double rel_tol = 1e-12);
 
 }  // namespace catsched::linalg

@@ -35,8 +35,19 @@ EvaluationTable decode_evaluation_table(
     std::vector<int> point = r.get_int_vector();
     EvalOutcome out;
     out.value = r.get_f64();
-    out.feasible = r.get_u8() != 0;
+    const std::uint8_t feasible = r.get_u8();
+    if (feasible > 1) {
+      throw core::SnapshotError(core::SnapshotErrc::bad_value,
+                                "evaluation table feasibility flag not 0/1");
+    }
+    out.feasible = feasible == 1;
     table.emplace_back(std::move(point), out);
+  }
+  // Every byte belongs to an entry: a count that undercounts the entries
+  // would otherwise drop the rest silently.
+  if (r.remaining() != 0) {
+    throw core::SnapshotError(core::SnapshotErrc::bad_value,
+                              "evaluation table has bytes past its count");
   }
   return table;
 }

@@ -61,8 +61,12 @@ using CheapFeasible = std::function<bool(const std::vector<int>&)>;
 using EvaluationTable = std::vector<std::pair<std::vector<int>, EvalOutcome>>;
 
 /// Serialize an evaluation table as a snapshot payload (values travel as
-/// IEEE-754 bit patterns — bit-exact round trip) / parse one back.
-/// \throws core::SnapshotError (truncated) on a damaged payload.
+/// IEEE-754 bit patterns — bit-exact round trip) / parse one back. The
+/// decoder accepts exactly the encoder's image of some table, so whatever
+/// it returns re-encodes to the same bytes.
+/// \throws core::SnapshotError on a damaged payload: truncated when it
+///         ends early, bad_value for a point element outside int, a
+///         feasibility byte other than 0/1, or bytes past the last entry.
 std::vector<std::uint8_t> encode_evaluation_table(const EvaluationTable& table);
 EvaluationTable decode_evaluation_table(
     const std::vector<std::uint8_t>& payload);
@@ -119,7 +123,8 @@ public:
 
   /// Load \p path (or its .prev fallback) and preload the table. Returns
   /// false when no checkpoint exists yet; rethrows core::SnapshotError
-  /// when both the primary and the fallback are damaged.
+  /// when both the primary and the fallback are damaged, or when the
+  /// loaded payload does not decode.
   bool try_resume(bool* used_fallback = nullptr);
 
   /// Unconditional snapshot of the journal (no-op when checkpointing is

@@ -25,7 +25,7 @@ std::vector<std::unique_ptr<SearchDriver>> build_roster(
     roster.push_back(std::make_unique<HybridDriver>(
         "hybrid:" + std::to_string(i), cheap, starts[i], hybrid));
   }
-  BeamDriverOptions beam = opts.beam;
+  BeamDriverOptions beam;
   beam.tolerance = opts.tolerance;
   beam.min_value = opts.min_value;
   beam.max_value = opts.max_value;

@@ -50,9 +50,8 @@ struct PortfolioOptions {
                                ///< <= 0 disables racing elimination
   std::uint64_t seed = 1;      ///< base seed; strategy index offsets it
 
-  BeamDriverOptions beam;        ///< width/max_steps (bounds overridden)
-  AnnealDriverOptions anneal;    ///< schedule/batch (bounds overridden)
-  GeneticDriverOptions genetic;  ///< GA shape (bounds overridden)
+  AnnealDriverOptions anneal;    ///< iterations/batch (bounds, seed overridden)
+  GeneticDriverOptions genetic;  ///< GA shape (bounds, seed overridden)
   PatternDriverOptions pattern;  ///< initial_step (bounds overridden)
   int hybrid_max_steps = 200;
 

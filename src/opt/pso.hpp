@@ -10,20 +10,15 @@
 
 namespace catsched::opt {
 
-/// PSO tuning knobs. Defaults follow the canonical constricted swarm
-/// (Clerc–Kennedy coefficients).
+/// PSO budget knobs. The swarm coefficients are fixed to the canonical
+/// constricted swarm (Clerc–Kennedy); see pso.cpp.
 struct PsoOptions {
   int particles = 40;
   int iterations = 80;
-  double inertia = 0.7298;
-  double cognitive = 1.49618;  ///< pull toward each particle's best
-  double social = 1.49618;     ///< pull toward the global best
   std::uint64_t seed = 1;      ///< deterministic runs
-  double velocity_clamp = 0.5; ///< max |v| as a fraction of the box width
-  /// Stop early when the global best has not improved by more than
-  /// stall_tolerance for stall_iterations consecutive iterations (0 = off).
+  /// Stop early when the global best has not improved by more than 1e-9
+  /// for stall_iterations consecutive iterations (0 = off).
   int stall_iterations = 25;
-  double stall_tolerance = 1e-9;
   /// Optional batched objective: fill costs[i] with the objective at
   /// positions[i] under bounds[i] (see Objective for the bound contract;
   /// costs is pre-sized to positions.size()). When set, every swarm

@@ -182,6 +182,9 @@ namespace {
 // Beam: the move-ordering variant — expand the top-k, not only the argmax.
 // ---------------------------------------------------------------------------
 
+constexpr std::size_t kBeamWidth = 3;  // k (k = 1 ~ plain hill climb)
+constexpr int kBeamMaxSteps = 200;
+
 class BeamDriver final : public SearchDriver {
  public:
   BeamDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
@@ -189,9 +192,6 @@ class BeamDriver final : public SearchDriver {
       : SearchDriver(std::move(name)), cheap_(std::move(cheap)), opts_(opts) {
     require_start("beam driver", cheap_, start, opts_.min_value,
                   opts_.max_value);
-    if (opts_.width < 1) {
-      throw std::invalid_argument("beam driver: width < 1");
-    }
     beam_.push_back(Entry{std::move(start), 0.0});
     visited_.insert(beam_.front().point);
   }
@@ -199,7 +199,7 @@ class BeamDriver final : public SearchDriver {
  protected:
   std::vector<std::vector<int>> propose() override {
     if (!seeded_) return {beam_.front().point};
-    if (steps_ >= opts_.max_steps) return {};
+    if (steps_ >= kBeamMaxSteps) return {};
     std::vector<std::vector<int>> batch;
     for (const Entry& e : beam_) {
       for (std::size_t i = 0; i < e.point.size(); ++i) {
@@ -241,8 +241,7 @@ class BeamDriver final : public SearchDriver {
       return;
     }
     std::vector<Entry> next;
-    const std::size_t k = std::min<std::size_t>(
-        static_cast<std::size_t>(opts_.width), order.size());
+    const std::size_t k = std::min(kBeamWidth, order.size());
     next.reserve(k);
     for (std::size_t j = 0; j < k; ++j) {
       next.push_back(Entry{points[order[j]], walk[order[j]]});
@@ -269,6 +268,10 @@ class BeamDriver final : public SearchDriver {
 // Anneal: batch-synchronous SA, first-accepted-move-wins per round.
 // ---------------------------------------------------------------------------
 
+constexpr double kAnnealInitialTemperature = 0.05;  // objective units
+constexpr double kAnnealCooling = 0.97;  // geometric factor per proposal
+constexpr int kAnnealProposalTries = 32;  // resamples per proposal
+
 class AnnealDriver final : public SearchDriver {
  public:
   AnnealDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
@@ -277,7 +280,7 @@ class AnnealDriver final : public SearchDriver {
         cheap_(std::move(cheap)),
         opts_(opts),
         cur_(std::move(start)),
-        temperature_(opts.initial_temperature),
+        temperature_(kAnnealInitialTemperature),
         remaining_(opts.iterations),
         rng_(opts.seed) {
     require_start("anneal driver", cheap_, cur_, opts_.min_value,
@@ -297,7 +300,7 @@ class AnnealDriver final : public SearchDriver {
     std::vector<std::vector<int>> batch;
     batch.reserve(static_cast<std::size_t>(want));
     for (int j = 0; j < want; ++j) {
-      for (int tries = 0; tries < opts_.max_proposal_tries; ++tries) {
+      for (int tries = 0; tries < kAnnealProposalTries; ++tries) {
         std::vector<int> p = cur_;
         const std::size_t dim = rng_.index(p.size());
         p[dim] += rng_.chance(0.5) ? 1 : -1;
@@ -337,7 +340,7 @@ class AnnealDriver final : public SearchDriver {
           accepted = true;
         }
       }
-      temperature_ *= opts_.cooling;  // one cooling step per proposal
+      temperature_ *= kAnnealCooling;  // T shrinks once per proposal
     }
   }
 
@@ -355,6 +358,12 @@ class AnnealDriver final : public SearchDriver {
 // ---------------------------------------------------------------------------
 // Genetic: one generation per round.
 // ---------------------------------------------------------------------------
+
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.3;  // per-gene probability of a +-1 step
+constexpr int kTournament = 3;         // contestants per parent selection
+constexpr std::size_t kElites = 2;     // best individuals copied unchanged
+constexpr int kRepairTries = 32;       // resamples for a cheap-feasible child
 
 class GeneticDriver final : public SearchDriver {
  public:
@@ -376,7 +385,7 @@ class GeneticDriver final : public SearchDriver {
       const bool low = i < opts_.population / 2;
       std::vector<int> chrom(dims_, opts_.min_value);
       bool ok = false;
-      for (int tries = 0; tries < opts_.max_repair_tries && !ok; ++tries) {
+      for (int tries = 0; tries < kRepairTries && !ok; ++tries) {
         for (std::size_t g = 0; g < dims_; ++g) {
           chrom[g] = static_cast<int>(
               rng_.range(opts_.min_value, low ? low_hi : opts_.max_value));
@@ -411,34 +420,33 @@ class GeneticDriver final : public SearchDriver {
     const std::vector<std::size_t> order = rank_desc(fitness);
     std::vector<std::vector<int>> next;
     next.reserve(points.size());
-    const std::size_t elites = std::min<std::size_t>(
-        static_cast<std::size_t>(std::max(opts_.elites, 0)), order.size());
-    for (std::size_t j = 0; j < elites; ++j) {
+    const std::size_t kept = std::min(kElites, order.size());
+    for (std::size_t j = 0; j < kept; ++j) {
       next.push_back(points[order[j]]);
     }
-    const auto tournament = [&]() -> const std::vector<int>& {
+    const auto select_parent = [&]() -> const std::vector<int>& {
       std::size_t best = rng_.index(points.size());
-      for (int c = 1; c < opts_.tournament; ++c) {
+      for (int c = 1; c < kTournament; ++c) {
         const std::size_t cand = rng_.index(points.size());
         if (fitness[cand] > fitness[best]) best = cand;
       }
       return points[best];
     };
     while (next.size() < points.size()) {
-      const std::vector<int>& p1 = tournament();
-      const std::vector<int>& p2 = tournament();
+      const std::vector<int>& p1 = select_parent();
+      const std::vector<int>& p2 = select_parent();
       std::vector<int> base = p1;
-      if (rng_.chance(opts_.crossover_rate)) {
+      if (rng_.chance(kCrossoverRate)) {
         for (std::size_t g = 0; g < dims_; ++g) {
           base[g] = rng_.chance(0.5) ? p1[g] : p2[g];
         }
       }
       std::vector<int> child;
       bool ok = false;
-      for (int tries = 0; tries < opts_.max_repair_tries && !ok; ++tries) {
+      for (int tries = 0; tries < kRepairTries && !ok; ++tries) {
         child = base;
         for (std::size_t g = 0; g < dims_; ++g) {
-          if (rng_.chance(opts_.mutation_rate)) {
+          if (rng_.chance(kMutationRate)) {
             child[g] += rng_.chance(0.5) ? 1 : -1;
             child[g] = std::clamp(child[g], opts_.min_value, opts_.max_value);
           }
@@ -463,6 +471,8 @@ class GeneticDriver final : public SearchDriver {
 // Pattern: deterministic integer compass search with step halving.
 // ---------------------------------------------------------------------------
 
+constexpr int kPatternMaxRounds = 200;
+
 class PatternDriver final : public SearchDriver {
  public:
   PatternDriver(std::string name, CheapFeasible cheap, std::vector<int> start,
@@ -484,7 +494,7 @@ class PatternDriver final : public SearchDriver {
  protected:
   std::vector<std::vector<int>> propose() override {
     if (!seeded_) return {cur_};
-    if (rounds_ >= opts_.max_rounds) return {};
+    if (rounds_ >= kPatternMaxRounds) return {};
     while (step_ >= 1) {
       std::vector<std::vector<int>> batch;
       for (std::size_t i = 0; i < cur_.size(); ++i) {

@@ -135,17 +135,16 @@ class HybridDriver final : public SearchDriver {
 
 /// The beam (move-ordering) variant of the hybrid walk.
 struct BeamDriverOptions {
-  int width = 3;           ///< beam width k (k = 1 ~ plain hill climb)
   double tolerance = 0.0;  ///< accept a round losing at most this much
-  int max_steps = 200;     ///< rounds cap
   int min_value = 1;
   int max_value = 64;
 };
 
-/// Beam search over the +-1 move graph: each round expands the top-k
+/// Beam search over the +-1 move graph: each round expands the top-3
 /// unvisited neighbors of the whole beam (not only the argmax), ranked by
 /// walk_value with proposal order breaking ties. Finishes when the best
-/// candidate falls more than `tolerance` below the best beam member.
+/// candidate falls more than `tolerance` below the best beam member, or
+/// after 200 rounds.
 std::unique_ptr<SearchDriver> make_beam_driver(std::string name,
                                                CheapFeasible cheap,
                                                std::vector<int> start,
@@ -153,22 +152,20 @@ std::unique_ptr<SearchDriver> make_beam_driver(std::string name,
 
 /// Batch-synchronous simulated annealing.
 struct AnnealDriverOptions {
-  double initial_temperature = 0.05;  ///< in objective units (Pall ~ 0..1)
-  double cooling = 0.97;              ///< geometric factor per proposal
   int iterations = 400;               ///< total proposals across all rounds
   int batch = 8;                      ///< proposals per round
   int min_value = 1;
   int max_value = 64;
   std::uint64_t seed = 1;
-  int max_proposal_tries = 32;  ///< resamples per cheap-feasible proposal
 };
 
 /// SA adapted to rounds: each round proposes `batch` independent +-1 moves
-/// from the current point; observation scans them in order, cooling once
-/// per proposal, and the FIRST accepted move (improvements always, losses
-/// with probability exp(delta/T) on walk_value) becomes the new current
-/// point — the rest of the round only feeds best-tracking. RNG is
-/// SplitMix64.
+/// from the current point (up to 32 resamples each to find a cheap-feasible
+/// one); observation scans them in order and the FIRST accepted move
+/// (improvements always, losses with probability exp(delta/T) on
+/// walk_value) becomes the new current point — the rest of the round only
+/// feeds best-tracking. T starts at 0.05 in objective units (Pall ~ 0..1)
+/// and shrinks by a factor 0.97 per proposal. RNG is SplitMix64.
 std::unique_ptr<SearchDriver> make_anneal_driver(
     std::string name, CheapFeasible cheap, std::vector<int> start,
     const AnnealDriverOptions& opts);
@@ -177,21 +174,17 @@ std::unique_ptr<SearchDriver> make_anneal_driver(
 struct GeneticDriverOptions {
   int population = 12;
   int generations = 15;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.3;  ///< per-gene probability of a +-1 step
-  int tournament = 3;          ///< contestants per parent selection
-  int elites = 2;              ///< best individuals copied unchanged
   int min_value = 1;
   int max_value = 64;
   std::uint64_t seed = 1;
-  int max_repair_tries = 32;  ///< resamples to make a child cheap-feasible
 };
 
 /// GA in driver form: a round proposes the current population, observation
-/// assigns walk_value fitness and breeds the next generation (tournament
-/// selection, uniform crossover, +-1 mutation with cheap-feasibility
-/// repair, elitism). Half the initial population is biased low (genes in
-/// [min, min+3]); all randomness is SplitMix64. The all-min point
+/// assigns walk_value fitness and breeds the next generation (best-of-3
+/// parent selection, uniform crossover at rate 0.9, per-gene +-1
+/// mutation at rate 0.3 with up to 32 cheap-feasibility repair draws, the
+/// 2 best copied unchanged). Half the initial population is biased low
+/// (genes in [min, min+3]); all randomness is SplitMix64. The all-min point
 /// (cheap-feasible whenever anything is — the filter is monotone)
 /// backstops failed initial draws.
 /// \throws std::invalid_argument if dims == 0 or population < 2.
@@ -204,12 +197,11 @@ struct PatternDriverOptions {
   int initial_step = 4;  ///< starting +-h per-dimension step
   int min_value = 1;
   int max_value = 64;
-  int max_rounds = 200;
 };
 
 /// Integer compass search: each round proposes cur +- h*e_i for every
 /// dimension; the best strictly-improving candidate (walk_value) becomes
-/// the new point, otherwise h halves; h < 1 finishes. No RNG at all — the
+/// the new point, otherwise h halves; h < 1 (or 200 rounds) finishes. No RNG at all — the
 /// portfolio's only fully deterministic stochastic-free strategy, a
 /// discrete restatement of opt/pattern_search.hpp.
 std::unique_ptr<SearchDriver> make_pattern_driver(

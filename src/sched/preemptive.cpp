@@ -107,31 +107,4 @@ ScheduleTiming preemptive_timing(const std::vector<PreemptiveTask>& tasks,
   return timing;
 }
 
-double min_feasible_period_scale(std::vector<PreemptiveTask> tasks,
-                                 double max_scale, double resolution) {
-  const std::vector<double> base_periods = [&] {
-    std::vector<double> p;
-    p.reserve(tasks.size());
-    for (const auto& t : tasks) p.push_back(t.period);
-    return p;
-  }();
-  const auto feasible_at = [&](double scale) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      tasks[i].period = base_periods[i] * scale;
-    }
-    return response_time_analysis_rm(tasks).all_schedulable;
-  };
-  if (feasible_at(1.0)) return 1.0;
-  if (!feasible_at(max_scale)) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double lo = 1.0;
-  double hi = max_scale;
-  while (hi - lo > resolution) {
-    const double mid = 0.5 * (lo + hi);
-    (feasible_at(mid) ? hi : lo) = mid;
-  }
-  return hi;
-}
-
 }  // namespace catsched::sched

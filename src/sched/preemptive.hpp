@@ -63,12 +63,4 @@ RtaResult response_time_analysis_rm(const std::vector<PreemptiveTask>& tasks);
 ScheduleTiming preemptive_timing(const std::vector<PreemptiveTask>& tasks,
                                  const RtaResult& rta);
 
-/// The smallest uniform period multiplier x >= 1 such that scaling every
-/// period by x makes the set schedulable (binary search; infinity if even
-/// a large factor fails). Used by benches to find the preemptive operating
-/// point nearest to the paper's non-preemptive timings.
-double min_feasible_period_scale(std::vector<PreemptiveTask> tasks,
-                                 double max_scale = 64.0,
-                                 double resolution = 1e-3);
-
 }  // namespace catsched::sched

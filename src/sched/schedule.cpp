@@ -26,16 +26,6 @@ std::size_t PeriodicSchedule::tasks_per_period() const noexcept {
   return n;
 }
 
-PeriodicSchedule PeriodicSchedule::with_burst(std::size_t app,
-                                              int value) const {
-  if (app >= m_.size()) {
-    throw std::invalid_argument("with_burst: app out of range");
-  }
-  std::vector<int> m = m_;
-  m[app] = value;
-  return PeriodicSchedule(std::move(m));  // re-validates value >= 1
-}
-
 std::string PeriodicSchedule::to_string() const {
   std::ostringstream os;
   os << "(";

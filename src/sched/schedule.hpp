@@ -27,10 +27,6 @@ public:
   /// Total tasks per schedule period.
   std::size_t tasks_per_period() const noexcept;
 
-  /// Copy with m[app] replaced by value. \throws std::invalid_argument if
-  /// value < 1 or app out of range.
-  PeriodicSchedule with_burst(std::size_t app, int value) const;
-
   /// "(m1, m2, ..., mn)" for logs and tables.
   std::string to_string() const;
 

@@ -142,6 +142,20 @@ TEST(Codesign, ExhaustiveDominatesHybridStart) {
   EXPECT_LE(hy.best_evaluation.pall, ex.details.best_value + 1e-12);
 }
 
+TEST(Codesign, ExhaustiveReadsItsWinnerFromTheScheduleMemo) {
+  // Every enumerated schedule costs one design request per app through the
+  // schedule memo; reporting the winner must not add another round.
+  Evaluator ev(tiny_system(), fast_options());
+  opt::HybridOptions hopts;
+  hopts.max_value = 6;
+  const auto ex = exhaustive_codesign(ev, hopts);
+  ASSERT_TRUE(ex.found);
+  EXPECT_EQ(ev.design_requests(),
+            static_cast<int>(ev.model().num_apps()) *
+                ev.schedule_evaluations());
+  EXPECT_EQ(ex.best_evaluation.pall, ex.details.best_value);
+}
+
 // ------------------------------------------------------------ case study
 
 TEST(Date18Integration, RoundRobinVsCacheAware) {

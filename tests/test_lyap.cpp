@@ -1,5 +1,5 @@
 /// \file test_lyap.cpp
-/// \brief Lyapunov/Sylvester/Stein solver tests: residual properties on
+/// \brief Discrete Lyapunov and Stein solver tests: residual properties on
 ///        random stable matrices, known closed forms, and failure modes.
 
 #include <gtest/gtest.h>
@@ -14,10 +14,8 @@ namespace {
 
 using catsched::linalg::kron;
 using catsched::linalg::Matrix;
-using catsched::linalg::solve_continuous_lyapunov;
 using catsched::linalg::solve_discrete_lyapunov;
 using catsched::linalg::solve_stein;
-using catsched::linalg::solve_sylvester;
 using catsched::linalg::unvec;
 using catsched::linalg::vec;
 
@@ -125,48 +123,6 @@ TEST(DiscreteLyapunov, ThrowsOnDimensionMismatch) {
   EXPECT_THROW(
       solve_discrete_lyapunov(Matrix::identity(2), Matrix::identity(3)),
       std::invalid_argument);
-}
-
-class ContinuousLyapunovSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(ContinuousLyapunovSweep, ResidualVanishesForHurwitzA) {
-  std::mt19937 rng(100 + static_cast<unsigned>(GetParam()));
-  const std::size_t n = 2 + static_cast<std::size_t>(GetParam()) % 4;
-  Matrix a = random_matrix(rng, n, 1.0);
-  // Shift to make Hurwitz: A - (rho+1) I has eigenvalues with Re < 0...
-  // use the cheap bound rho <= ||A||_inf.
-  const double shift = a.norm_inf() + 1.0;
-  for (std::size_t i = 0; i < n; ++i) a(i, i) -= shift;
-  const Matrix q = random_spd(rng, n);
-  const Matrix x = solve_continuous_lyapunov(a, q);
-
-  const Matrix residual = a * x + x * a.transposed() + q;
-  EXPECT_LT(residual.max_abs(), 1e-8 * (1.0 + x.max_abs()));
-  EXPECT_TRUE(catsched::linalg::approx_equal(x, x.transposed(), 1e-8));
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomHurwitz, ContinuousLyapunovSweep,
-                         ::testing::Range(0, 8));
-
-TEST(Sylvester, SolvesRandomSystem) {
-  std::mt19937 rng(42);
-  const Matrix a = random_matrix(rng, 3, 1.0) + 4.0 * Matrix::identity(3);
-  const Matrix b = random_matrix(rng, 2, 1.0) + 4.0 * Matrix::identity(2);
-  Matrix c(3, 2);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 2; ++j) c(i, j) = dist(rng);
-  }
-  const Matrix x = solve_sylvester(a, b, c);
-  EXPECT_LT((a * x + x * b - c).max_abs(), 1e-9);
-}
-
-TEST(Sylvester, ThrowsWhenSpectraOverlapNegated) {
-  // A and -B share eigenvalue 1 -> singular operator.
-  const Matrix a{{1.0}};
-  const Matrix b{{-1.0}};
-  const Matrix c{{1.0}};
-  EXPECT_THROW(solve_sylvester(a, b, c), std::domain_error);
 }
 
 TEST(Stein, SolvesRandomSystemAndMatchesLyapunovSpecialCase) {

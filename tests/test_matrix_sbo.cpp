@@ -164,8 +164,9 @@ TEST(MatrixSbo, LyapunovSolversAreStorageInvariant) {
     // spilled 64x64 solve inside — the boundary crossed mid-algorithm.
     EXPECT_TRUE(bit_equal(solve_discrete_lyapunov(a, q),
                           solve_discrete_lyapunov(spilled(a), spilled(q))));
-    EXPECT_TRUE(bit_equal(solve_continuous_lyapunov(a, q),
-                          solve_continuous_lyapunov(spilled(a), spilled(q))));
+    const Matrix b = random_matrix(n, n, 600 + n, 0.3);
+    EXPECT_TRUE(bit_equal(solve_stein(a, b, q),
+                          solve_stein(spilled(a), spilled(b), spilled(q))));
   }
 }
 

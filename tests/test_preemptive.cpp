@@ -1,7 +1,6 @@
 /// \file test_preemptive.cpp
 /// \brief Preemptive RTA tests: textbook response-time examples, CRPD
-///        inflation, utilization bounds, the control-timing view, and the
-///        period-scaling search.
+///        inflation, utilization bounds and the control-timing view.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 namespace {
 
-using catsched::sched::min_feasible_period_scale;
 using catsched::sched::PreemptiveTask;
 using catsched::sched::preemptive_timing;
 using catsched::sched::rate_monotonic_order;
@@ -102,38 +100,6 @@ TEST(PreemptiveTiming, ThrowsOnUnschedulableInput) {
                                              {3.0, 1.5, 0.0}};
   const auto rta = response_time_analysis_rm(tasks);
   EXPECT_THROW(preemptive_timing(tasks, rta), std::invalid_argument);
-}
-
-TEST(PeriodScale, AlreadyFeasibleNeedsNoScaling) {
-  const std::vector<PreemptiveTask> tasks = {{4.0, 1.0, 0.0},
-                                             {8.0, 2.0, 0.0}};
-  EXPECT_DOUBLE_EQ(min_feasible_period_scale(tasks), 1.0);
-}
-
-TEST(PeriodScale, FindsTheFeasibilityBoundary) {
-  // Two tasks with U = 1.25: scaling periods by x scales U by 1/x, so
-  // schedulability needs roughly x >= 1.25 (exact bound depends on RTA).
-  const std::vector<PreemptiveTask> tasks = {{2.0, 1.0, 0.0},
-                                             {4.0, 3.0, 0.0}};
-  const double x = min_feasible_period_scale(tasks);
-  EXPECT_GT(x, 1.0);
-  EXPECT_LT(x, 3.0);
-  // Check the boundary really is feasible...
-  std::vector<PreemptiveTask> scaled = tasks;
-  for (auto& t : scaled) t.period *= x;
-  EXPECT_TRUE(response_time_analysis_rm(scaled).all_schedulable);
-  // ...and slightly below is not.
-  std::vector<PreemptiveTask> below = tasks;
-  for (auto& t : below) t.period *= (x - 0.05);
-  EXPECT_FALSE(response_time_analysis_rm(below).all_schedulable);
-}
-
-TEST(PeriodScale, ReportsInfinityWhenHopeless) {
-  // CRPD so large that even huge periods stay infeasible (CRPD scales
-  // with each preemption, and there is always at least one).
-  const std::vector<PreemptiveTask> tasks = {{1.0, 0.6, 10.0},
-                                             {1.5, 0.9, 0.0}};
-  EXPECT_TRUE(std::isinf(min_feasible_period_scale(tasks, 4.0)));
 }
 
 }  // namespace

@@ -24,9 +24,6 @@ TEST(PeriodicSchedule, ValidationAndBasics) {
             (std::vector<std::size_t>{0, 0, 1, 2, 2, 2}));
   EXPECT_THROW(PeriodicSchedule(std::vector<int>{}), std::invalid_argument);
   EXPECT_THROW(PeriodicSchedule({1, 0}), std::invalid_argument);
-  EXPECT_EQ(s.with_burst(1, 4).burst(1), 4);
-  EXPECT_THROW(s.with_burst(1, 0), std::invalid_argument);
-  EXPECT_THROW(s.with_burst(9, 1), std::invalid_argument);
 }
 
 TEST(InterleavedSchedule, ValidationAndBasics) {
@@ -151,22 +148,6 @@ TEST(Timing, RejectsBadWcets) {
                std::invalid_argument);  // warm > cold
   EXPECT_THROW(derive_timing(kDate18, PeriodicSchedule({1, 1})),
                std::invalid_argument);  // count mismatch
-}
-
-TEST(Timeline, BuildTimelineStartsColdThenSteady) {
-  const auto tl = build_timeline(
-      kDate18, InterleavedSchedule::from_periodic(PeriodicSchedule({2, 1, 1})),
-      2);
-  ASSERT_EQ(tl.size(), 8u);
-  // Very first task is cold even though in steady state it would be led
-  // into by C3 (different app), which also makes it cold here.
-  EXPECT_FALSE(tl[0].warm);
-  EXPECT_TRUE(tl[1].warm);
-  EXPECT_NEAR(tl[1].end - tl[1].start, kDate18[0].warm_seconds, 1e-15);
-  // Tasks are contiguous.
-  for (std::size_t k = 1; k < tl.size(); ++k) {
-    EXPECT_NEAR(tl[k].start, tl[k - 1].end, 1e-15);
-  }
 }
 
 // Parameterized sweep: for every (m1, m2) burst combination, timing

@@ -14,8 +14,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_model.hpp"
@@ -102,6 +104,22 @@ cache::Program random_trace(std::mt19937& rng, const char* name,
     ++cur;
   }
   return p;
+}
+
+/// The context analyzer of a system whose apps are the given traces, built
+/// the way the evaluator builds it: trace-only apps are lifted to
+/// single-block programs by SystemModel::make_context_analyzer.
+std::unique_ptr<cache::ScheduleWcetAnalyzer> trace_analyzer(
+    const std::vector<cache::Program>& programs, const cache::CacheConfig& c) {
+  SystemModel sys;
+  sys.cache_config = c;
+  for (const cache::Program& p : programs) {
+    Application a;
+    a.name = p.name;
+    a.program = p;
+    sys.apps.push_back(std::move(a));
+  }
+  return sys.make_context_analyzer();
 }
 
 /// Interference masks of a LINEAR (non-cyclic) occurrence list: for each
@@ -224,7 +242,7 @@ TEST(ContextBounds, OrderedAndMonotoneOverRandomSystems) {
       programs.push_back(random_trace(rng, "p", a * 17, 20 + rng() % 40,
                                       60 + rng() % 120));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     const std::uint64_t all = (std::uint64_t{1} << n) - 1;
     for (std::size_t app = 0; app < n; ++app) {
       const std::uint64_t warm = analyzer->base(app).warm.wcet_cycles;
@@ -262,7 +280,7 @@ TEST(ContextBounds, NeverExceededByConcreteTraceReplay) {
       programs.push_back(random_trace(rng, "p", a * 13, 16 + rng() % 48,
                                       50 + rng() % 150));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
 
     // Random task sequence containing every app, replayed concretely
     // through one shared cache — the ground truth the bounds must cover.
@@ -353,7 +371,7 @@ TEST(ContextBounds, SteadyScheduleReplayWithinPerTaskBounds) {
       programs.push_back(random_trace(rng, "p", a * 23, 16 + rng() % 40,
                                       60 + rng() % 100));
     }
-    const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     std::vector<std::size_t> period_seq;
     for (std::size_t a = 0; a < n; ++a) period_seq.push_back(a);
     for (int k = 0; k < 8; ++k) period_seq.push_back(rng() % n);
@@ -446,7 +464,7 @@ TEST(Analyzer, TableAndLookupAgreeAndFallBackCold) {
   for (std::size_t a = 0; a < 3; ++a) {
     programs.push_back(random_trace(rng, "p", a * 29, 40, 120));
   }
-  const auto analyzer = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+  const auto analyzer = trace_analyzer(programs, c);
   const ContextWcetTable table = analyzer->full_table();
   ASSERT_EQ(table.base.size(), 3u);
   for (std::size_t app = 0; app < 3; ++app) {
@@ -474,12 +492,11 @@ TEST(Analyzer, MemoHitDeterminismAcrossThreads) {
     programs.push_back(random_trace(rng, "p", a * 19, 40, 150));
   }
   // Serial reference values.
-  const auto ref = cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+  const auto ref = trace_analyzer(programs, c);
   const ContextWcetTable ref_table = ref->full_table();
 
   for (const int threads : {1, 2, 4}) {
-    const auto analyzer =
-        cache::ScheduleWcetAnalyzer::from_traces(programs, c);
+    const auto analyzer = trace_analyzer(programs, c);
     // Every thread hammers every (app, mask) pair in its own order.
     std::vector<std::thread> workers;
     std::vector<int> mismatches(static_cast<std::size_t>(threads), 0);
@@ -659,7 +676,7 @@ control::DesignOptions fast_options() {
 TEST(SystemModel, ContextTableSitsBetweenWarmAndColdPairs) {
   const SystemModel sys = partial_overlap_system();
   const std::vector<AppWcet> sim = sys.analyze_wcets();
-  const ContextWcetTable table = sys.analyze_context_wcets();
+  const ContextWcetTable table = sys.make_context_analyzer()->full_table();
   ASSERT_EQ(table.base.size(), sim.size());
   for (std::size_t i = 0; i < sim.size(); ++i) {
     // Static cold/warm base agrees with the simulator-derived pair.

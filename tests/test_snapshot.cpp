@@ -1,17 +1,21 @@
 // Pins the snapshot format (core/snapshot): scalar round-trips are
 // bit-exact, framing survives a write/read cycle, every rejection path
 // raises the right typed SnapshotErrc (bad magic / version / kind,
-// truncation, checksum), the crash-consistent file rotation keeps a .prev
-// image, and load_snapshot_file falls back to it when the primary is
-// damaged — the foundation of the kill-and-resume determinism guarantee.
+// truncation, checksum, out-of-domain values), damaged evaluation tables
+// (a deterministic mutation sweep) are rejected or decode exactly, the
+// crash-consistent file rotation keeps a .prev image, and
+// load_snapshot_file falls back to it when the primary is damaged — the
+// foundation of the kill-and-resume determinism guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "core/interleaved_codesign.hpp"
 #include "core/snapshot.hpp"
 #include "opt/discrete_search.hpp"
+#include "testgen/rng.hpp"
 
 namespace {
 
@@ -65,7 +70,6 @@ SnapshotErrc code_of(const std::vector<std::uint8_t>& file_bytes,
 TEST(SnapshotCodec, ScalarsRoundTripBitExact) {
   SnapshotWriter w;
   w.put_u8(0xAB);
-  w.put_u32(0xDEADBEEFu);
   w.put_u64(0x0123456789ABCDEFull);
   w.put_i64(-42);
   const double denorm = std::numeric_limits<double>::denorm_min();
@@ -74,12 +78,10 @@ TEST(SnapshotCodec, ScalarsRoundTripBitExact) {
   w.put_f64(-0.0);
   w.put_f64(denorm);
   w.put_f64(nan);
-  w.put_string("schedule (2, 3)");
   w.put_int_vector({5, -3, 0, 1 << 20});
 
   SnapshotReader r(w.bytes());
   EXPECT_EQ(r.get_u8(), 0xAB);
-  EXPECT_EQ(r.get_u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.get_u64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.get_i64(), -42);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.get_f64()),
@@ -90,16 +92,15 @@ TEST(SnapshotCodec, ScalarsRoundTripBitExact) {
             std::bit_cast<std::uint64_t>(denorm));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(r.get_f64()),
             std::bit_cast<std::uint64_t>(nan));
-  EXPECT_EQ(r.get_string(), "schedule (2, 3)");
   EXPECT_EQ(r.get_int_vector(), (std::vector<int>{5, -3, 0, 1 << 20}));
-  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(SnapshotCodec, ReaderUnderrunThrowsTruncated) {
   SnapshotWriter w;
-  w.put_u32(7);
+  w.put_u8(7);
   SnapshotReader r(w.bytes());
-  EXPECT_EQ(r.get_u32(), 7u);
+  EXPECT_EQ(r.get_u8(), 7u);
   try {
     r.get_u64();
     FAIL() << "read past the end succeeded";
@@ -122,9 +123,59 @@ TEST(SnapshotCodec, HostileVectorCountRejectedNotAllocated) {
   }
 }
 
+TEST(SnapshotCodec, IntVectorElementOutsideIntIsBadValue) {
+  // Elements travel as i64; one that does not fit an int must be rejected,
+  // not wrapped into a different schedule.
+  for (const std::int64_t x :
+       {std::int64_t{std::numeric_limits<int>::max()} + 1,
+        std::int64_t{std::numeric_limits<int>::min()} - 1,
+        std::numeric_limits<std::int64_t>::min()}) {
+    SnapshotWriter w;
+    w.put_u64(2);
+    w.put_i64(3);
+    w.put_i64(x);
+    SnapshotReader r(w.bytes());
+    try {
+      r.get_int_vector();
+      FAIL() << "element " << x << " accepted";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrc::bad_value) << x;
+    }
+  }
+}
+
+TEST(SnapshotCodec, EvaluationTableFeasibilityFlagOtherThanZeroOrOneIsBadValue) {
+  const catsched::opt::EvaluationTable table = {{{3, 2, 3}, {1.5, true}}};
+  std::vector<std::uint8_t> payload =
+      catsched::opt::encode_evaluation_table(table);
+  ASSERT_EQ(payload.back(), 1u);  // the entry's feasibility byte
+  payload.back() = 2;
+  try {
+    catsched::opt::decode_evaluation_table(payload);
+    FAIL() << "feasibility byte 2 accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrc::bad_value);
+  }
+}
+
+TEST(SnapshotCodec, EvaluationTableBytesPastTheCountAreBadValue) {
+  // A count that undercounts the entries must not drop the rest silently.
+  const catsched::opt::EvaluationTable table = {{{1, 1}, {0.5, true}},
+                                                {{2, 1}, {0.25, false}}};
+  std::vector<std::uint8_t> payload =
+      catsched::opt::encode_evaluation_table(table);
+  payload[0] = 1;  // little-endian u64 entry count: 2 -> 1
+  try {
+    catsched::opt::decode_evaluation_table(payload);
+    FAIL() << "undercounted table accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrc::bad_value);
+  }
+}
+
 TEST(SnapshotFraming, RoundTripPreservesPayloadAndKind) {
   SnapshotWriter w;
-  w.put_string("payload");
+  w.put_int_vector({7, -1});
   w.put_f64(0.25);
   const std::vector<std::uint8_t> payload = w.bytes();
   const auto framed = catsched::core::frame_snapshot(2, payload);
@@ -306,6 +357,150 @@ TEST(SnapshotCodec, EvaluationTableLyingCountIsTruncated) {
       EXPECT_EQ(e.code(), SnapshotErrc::truncated);
     }
   }
+}
+
+/// The table the mutation sweep damages: points of several lengths
+/// (empty, int extremes), values with special bit patterns, both
+/// feasibility flags.
+catsched::opt::EvaluationTable sweep_table() {
+  return {{{3, 2, 3}, {0.8125, true}},
+          {{}, {std::numeric_limits<double>::infinity(), false}},
+          {{-7, std::numeric_limits<int>::max(),
+            std::numeric_limits<int>::min()},
+           {std::numeric_limits<double>::quiet_NaN(), false}},
+          {{1}, {-0.0, true}}};
+}
+
+/// Byte offsets of every u64 count field in an encoded table: the entry
+/// count, then each point's element count.
+std::vector<std::size_t> count_offsets(
+    const catsched::opt::EvaluationTable& table) {
+  std::vector<std::size_t> out = {0};
+  std::size_t at = 8;
+  for (const auto& [point, outcome] : table) {
+    out.push_back(at);
+    at += 8 + 8 * point.size() + 8 + 1;
+  }
+  return out;
+}
+
+/// Deterministic mutant \p k of \p payload: bit flips, a truncation, or a
+/// count field overwritten with a lie (off by a little, or arbitrary).
+std::vector<std::uint8_t> mutate(const std::vector<std::uint8_t>& payload,
+                                 const std::vector<std::size_t>& counts,
+                                 catsched::testgen::SplitMix64& rng, int k) {
+  std::vector<std::uint8_t> m = payload;
+  switch (k % 3) {
+    case 0: {
+      const std::uint64_t flips = 1 + rng.below(3);
+      for (std::uint64_t f = 0; f < flips; ++f) {
+        m[rng.index(m.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+      }
+      break;
+    }
+    case 1:
+      m.resize(rng.index(m.size()));
+      break;
+    default: {
+      const std::size_t at = counts[rng.index(counts.size())];
+      std::uint64_t old = 0;
+      for (int i = 0; i < 8; ++i) {
+        old |= static_cast<std::uint64_t>(m[at + i]) << (8 * i);
+      }
+      const std::uint64_t lie =
+          rng.chance(0.5) ? old + static_cast<std::uint64_t>(rng.range(-2, 2))
+                          : rng.next();
+      for (int i = 0; i < 8; ++i) {
+        m[at + i] = static_cast<std::uint8_t>(lie >> (8 * i));
+      }
+      break;
+    }
+  }
+  return m;
+}
+
+bool same_outcome(const catsched::opt::EvalOutcome& a,
+                  const catsched::opt::EvalOutcome& b) {
+  return std::bit_cast<std::uint64_t>(a.value) ==
+             std::bit_cast<std::uint64_t>(b.value) &&
+         a.feasible == b.feasible;
+}
+
+TEST(SnapshotCodec, MutatedEvaluationTablesAreRejectedOrDecodeExactly) {
+  // Every mutant is re-framed, so the checksum passes and the decoder
+  // itself sees the damage. It must either raise a typed SnapshotError or
+  // return a table whose encoding is the mutant byte for byte; the same
+  // bytes resumed from a file must fail or preload exactly that table.
+  namespace core = catsched::core;
+  namespace opt = catsched::opt;
+  const opt::EvaluationTable table = sweep_table();
+  const std::vector<std::uint8_t> payload = opt::encode_evaluation_table(table);
+  const std::vector<std::size_t> counts = count_offsets(table);
+  catsched::testgen::SplitMix64 rng(20181);
+  int accepted = 0;
+  int truncated = 0;
+  int bad_value = 0;
+  constexpr int kMutants = 600;
+  for (int k = 0; k < kMutants; ++k) {
+    SCOPED_TRACE("mutant " + std::to_string(k));
+    const std::vector<std::uint8_t> mutant = mutate(payload, counts, rng, k);
+    const auto framed =
+        core::frame_snapshot(core::kSnapshotKindEvaluationTable, mutant);
+
+    std::optional<opt::EvaluationTable> decoded;
+    try {
+      decoded = opt::decode_evaluation_table(core::unframe_snapshot(
+          framed, core::kSnapshotKindEvaluationTable));
+    } catch (const SnapshotError& e) {
+      ASSERT_TRUE(e.code() == SnapshotErrc::truncated ||
+                  e.code() == SnapshotErrc::bad_value)
+          << catsched::core::to_string(e.code());
+      (e.code() == SnapshotErrc::truncated ? truncated : bad_value) += 1;
+    }
+    if (decoded) {
+      ++accepted;
+      ASSERT_EQ(opt::encode_evaluation_table(*decoded), mutant);
+    }
+
+    TempSnapshotPath p("mutant");
+    core::write_snapshot_file(p.str(), core::kSnapshotKindEvaluationTable,
+                              mutant);
+    int objective_calls = 0;
+    opt::EvalCache cache([&](const std::vector<int>&) {
+      ++objective_calls;
+      return opt::EvalOutcome{};
+    });
+    cache.enable_checkpoints(p.str(), 1 << 20);
+    bool resumed = false;
+    try {
+      resumed = cache.try_resume();
+    } catch (const SnapshotError&) {
+      ASSERT_FALSE(decoded) << "file resume rejected a decodable payload";
+      continue;
+    }
+    ASSERT_TRUE(decoded) << "file resume accepted an undecodable payload";
+    ASSERT_TRUE(resumed);
+    // The first occurrence of a point wins, as in preload().
+    for (std::size_t i = 0; i < decoded->size(); ++i) {
+      const auto& [point, outcome] = (*decoded)[i];
+      const auto first = std::find_if(
+          decoded->begin(), decoded->end(),
+          [&](const auto& entry) { return entry.first == point; });
+      if (first - decoded->begin() == static_cast<std::ptrdiff_t>(i)) {
+        EXPECT_TRUE(same_outcome(cache.evaluate(point), outcome));
+      }
+    }
+    EXPECT_EQ(objective_calls, 0);
+  }
+  // The sweep reached every outcome class.
+  RecordProperty("accepted", accepted);
+  RecordProperty("truncated", truncated);
+  RecordProperty("bad_value", bad_value);
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(truncated, 0);
+  EXPECT_GT(bad_value, 0);
+  EXPECT_EQ(accepted + truncated + bad_value, kMutants);
 }
 
 TEST(SnapshotCodec, InterleavedStateLyingCountIsTruncated) {

@@ -328,8 +328,8 @@ void sweep_bound(const control::DesignObjective& obj,
     const std::vector<Matrix> k = obj.gains(theta);
     const double rho = catsched::linalg::spectral_radius(
         control::closed_loop_monodromy(obj.simulator().phases(), k));
-    const auto f = rho < 1.0 - obj.stability_margin() ? obj.feedforward(k)
-                                                      : std::nullopt;
+    const auto f = rho < 1.0 - control::kStabilityMargin ? obj.feedforward(k)
+                                                         : std::nullopt;
     if (!f) {
       ++cov.barrier;
       lbs.clear();

@@ -10,8 +10,8 @@
 
 namespace catsched::opt {
 
-/// PSO budget knobs. The swarm coefficients are fixed to the canonical
-/// constricted swarm (Clerc–Kennedy); see pso.cpp.
+/// PSO knobs. The swarm coefficients are fixed to the canonical constricted
+/// swarm (Clerc–Kennedy); see pso.cpp.
 struct PsoOptions {
   int particles = 40;
   int iterations = 80;
